@@ -1,31 +1,20 @@
-//! `step_bench`: single-run stepping microbenchmarks.
+//! `step_bench`: single-run stepping microbenchmark.
 //!
-//! Two sections, two artifacts:
+//! **Step-mode comparison** (`results/BENCH_step_mode.json`) — measures
+//! cycle-accurate vs event-driven stepping on sparse workloads (bursty and
+//! steady trickle), where the event wheel fast-forwards the quiescent spans
+//! between bursts. `docs/EVENTS.md` explains how to read it.
 //!
-//! 1. **Thread scaling** (`results/BENCH_step.json`) — measures
-//!    `Network::step` throughput (cycles/sec) and speedup as the
-//!    step-thread count sweeps {1, 2, 4, 8}, for mesh and Ruche (RF 2)
-//!    grids from 16×16 up to 128×128, at the saturating rate the sharded
-//!    engine targets (0.2) plus low-injection points (0.01–0.05) where
-//!    per-cycle overhead dominates.
-//! 2. **Step-mode comparison** (`results/BENCH_step_mode.json`) — measures
-//!    the full (step mode × step threads) grid — cycle-accurate vs
-//!    event-driven vs auto, each serial and sharded — on sparse workloads
-//!    (bursty and steady trickle), where the event wheel fast-forwards the
-//!    quiescent spans between bursts and per-shard sleep/wake keeps idle
-//!    bands off the pool. `docs/EVENTS.md` explains how to read it.
+//! Every point is measured as **warmup + median-of-3**: one untimed run
+//! primes caches, then three timed runs report their median rate. Traffic
+//! is pre-generated from a fixed seed, and the per-run **digest**
+//! (injected, ejected, final cycle, total link traversals) is asserted
+//! identical across both step modes and every repeat before anything is
+//! written — a divergence aborts the bench with a non-zero exit. The
+//! timing numbers vary with the machine, the simulation results never do.
+//! Every emitted record carries its `step_mode`.
 //!
-//! Every grid point is measured as **warmup + median-of-3**: one untimed
-//! run primes caches and the worker pool, then three timed runs report
-//! their median rate. Traffic is pre-generated from a fixed seed, and the
-//! per-run **digest** (injected, ejected, final cycle, total link
-//! traversals) is asserted identical across every thread count, every step
-//! mode, and every repeat before anything is written — a divergence
-//! anywhere in the cross product aborts the bench with a non-zero exit.
-//! The timing numbers vary with the machine, the simulation results never
-//! do. Every emitted record carries its `step_mode` and `step_threads`.
-//!
-//! Pass `--quick` to drop the largest grid and shorten runs.
+//! Pass `--quick` to shorten the bursty workload and drop the Ruche row.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -38,23 +27,12 @@ use ruche_stats::fmt_f;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Swept step-thread counts.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Traffic seed (fixed: the digest must be reproducible).
 const SEED: u64 = 17;
-/// Step modes compared by the mode section.
-const MODES: [StepMode; 3] = [
-    StepMode::CycleAccurate,
-    StepMode::EventDriven,
-    StepMode::Auto,
-];
-/// Step-thread counts crossed with [`MODES`] by the mode section: the
-/// serial baseline plus the sharded points where event-driven stepping
-/// composes with the per-shard sleep/wake machinery.
-const MODE_THREADS: [usize; 3] = [1, 2, 4];
+/// Compared step modes; the first is the speedup baseline.
+const MODES: [StepMode; 2] = [StepMode::CycleAccurate, StepMode::EventDriven];
 
-/// Simulation results that must not depend on the thread count or the
-/// step mode.
+/// Simulation results that must not depend on the step mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Digest {
     injected: u64,
@@ -83,7 +61,7 @@ impl Digest {
 }
 
 /// Warmup + median-of-3 around one timed point. The first (discarded) run
-/// primes caches, page tables, and the step-thread pool; the next three
+/// primes caches and page tables; the next three
 /// are timed and the median rate is reported. All four digests must agree
 /// — a digest that varies between identical runs is nondeterminism, not
 /// noise, and aborts the bench.
@@ -99,37 +77,8 @@ fn warm_median3(mut run: impl FnMut() -> (Digest, f64)) -> (Digest, f64) {
     (digest, rates[1])
 }
 
-/// One timed run: steps `cfg` under the pre-generated `traffic` for
-/// `cycles` loaded cycles plus the drain, returning the digest and the
-/// measured step rate in cycles/sec.
-fn timed_run(
-    cfg: &NetworkConfig,
-    traffic: &[Vec<(Coord, Flit)>],
-    step_threads: usize,
-) -> (Digest, f64) {
-    let mut net =
-        Network::new(cfg.clone().with_step_threads(step_threads)).expect("valid bench config");
-    let start = Instant::now();
-    for batch in traffic {
-        for &(c, f) in batch {
-            net.enqueue(net.tile_endpoint(c), f);
-        }
-        net.step();
-    }
-    while !net.snapshot().is_idle() {
-        net.step();
-        assert!(
-            net.snapshot().cycles_since_progress < 50_000,
-            "bench traffic deadlocked"
-        );
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let snap = net.snapshot();
-    (Digest::of(&net), snap.cycle as f64 / secs.max(1e-9))
-}
-
-/// One timed mode run: drives `cfg` in `mode` with `step_threads` shards
-/// through the sparse `schedule` of (cycle, source, flit) injections,
+/// One timed mode run: drives `cfg` in `mode` through the sparse
+/// `schedule` of (cycle, source, flit) injections,
 /// fast-forwarding to the next injection whenever the network quiesces (a
 /// no-op in cycle mode), until at least `horizon` cycles have elapsed and
 /// the network drained.
@@ -138,14 +87,8 @@ fn timed_mode_run(
     schedule: &[(u64, Coord, Flit)],
     horizon: u64,
     mode: StepMode,
-    step_threads: usize,
 ) -> (Digest, f64) {
-    let mut net = Network::new(
-        cfg.clone()
-            .with_step_mode(mode)
-            .with_step_threads(step_threads),
-    )
-    .expect("valid bench config");
+    let mut net = Network::new(cfg.clone().with_step_mode(mode)).expect("valid bench config");
     let start = Instant::now();
     let mut next = 0usize;
     let mut iters = 0u64;
@@ -170,31 +113,6 @@ fn timed_mode_run(
     (Digest::of(&net), cycle as f64 / secs.max(1e-9))
 }
 
-/// Pre-generates `cycles` batches of uniform-random single-flit traffic at
-/// per-tile `rate` so the timed region contains only `enqueue` + `step`.
-/// Load stops at 60% of the run so the tail measures drain behaviour.
-fn gen_traffic(dims: Dims, cycles: u64, rate: f64) -> Vec<Vec<(Coord, Flit)>> {
-    let mut rng = SmallRng::seed_from_u64(SEED);
-    let loaded = cycles * 3 / 5;
-    let mut id = 0u64;
-    (0..cycles)
-        .map(|cycle| {
-            let mut batch = Vec::new();
-            if cycle >= loaded {
-                return batch;
-            }
-            for c in dims.iter() {
-                if rng.gen_bool(rate) {
-                    let d = Coord::new(rng.gen_range(0..dims.cols), rng.gen_range(0..dims.rows));
-                    batch.push((c, Flit::single(c, Dest::tile(d), id, cycle)));
-                    id += 1;
-                }
-            }
-            batch
-        })
-        .collect()
-}
-
 /// Pre-generates a bursty sparse schedule: `bursts` bursts of `size`
 /// uniform-random single-flit packets, one burst every `period` cycles.
 /// Returns the schedule and the run horizon (`bursts * period`).
@@ -214,42 +132,24 @@ fn gen_bursty(dims: Dims, bursts: u64, period: u64, size: usize) -> (Vec<(u64, C
     (schedule, bursts * period)
 }
 
-/// Flattens steady per-tile-rate traffic into a sparse schedule for the
-/// mode driver. The horizon is the loaded-cycle count; the drain runs past
-/// it identically in every mode.
+/// Pre-generates steady uniform-random single-flit traffic at per-tile
+/// `rate` as a sparse schedule. Load stops at 60% of the horizon so the
+/// tail measures drain behaviour; the drain runs past the horizon
+/// identically in both modes.
 fn gen_steady(dims: Dims, cycles: u64, rate: f64) -> (Vec<(u64, Coord, Flit)>, u64) {
+    let mut rng = SmallRng::seed_from_u64(SEED);
     let mut schedule = Vec::new();
-    for (cycle, batch) in gen_traffic(dims, cycles, rate).iter().enumerate() {
-        for &(c, f) in batch {
-            schedule.push((cycle as u64, c, f));
+    let mut id = 0u64;
+    for cycle in 0..cycles * 3 / 5 {
+        for c in dims.iter() {
+            if rng.gen_bool(rate) {
+                let d = Coord::new(rng.gen_range(0..dims.cols), rng.gen_range(0..dims.rows));
+                schedule.push((cycle, c, Flit::single(c, Dest::tile(d), id, cycle)));
+                id += 1;
+            }
         }
     }
     (schedule, cycles)
-}
-
-/// The benched (dims, loaded-cycle-count, per-tile rate) grid. The 0.2
-/// points exercise the saturated regime the sharded engine targets; the
-/// low-injection points (0.01–0.05) show scaling where per-cycle overhead,
-/// not router work, dominates.
-fn grids(quick: bool) -> Vec<(Dims, u64, f64)> {
-    let mut g = vec![
-        (Dims::new(16, 16), 600, 0.2),
-        (Dims::new(16, 16), 600, 0.05),
-        (Dims::new(64, 64), 120, 0.2),
-        (Dims::new(64, 64), 120, 0.01),
-    ];
-    if !quick {
-        g.push((Dims::new(128, 128), 40, 0.2));
-    }
-    g
-}
-
-/// The benched topology families at `dims`.
-fn topologies(dims: Dims) -> Vec<NetworkConfig> {
-    vec![
-        NetworkConfig::mesh(dims),
-        NetworkConfig::full_ruche(dims, 2, CrossbarScheme::Depopulated),
-    ]
 }
 
 /// One workload row of the step-mode comparison.
@@ -299,84 +199,7 @@ fn mode_rows(quick: bool) -> Vec<ModeRow> {
     rows
 }
 
-/// Runs the thread-scaling section and writes `BENCH_step.json`.
-fn bench_threads(opts: &Opts) {
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"version\": \"{MODEL_VERSION}\",");
-    let _ = writeln!(json, "  \"quick\": {},", opts.quick);
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"runs\": [");
-    let mut first = true;
-    for (dims, cycles, rate) in grids(opts.quick) {
-        let traffic = gen_traffic(dims, cycles, rate);
-        for cfg in topologies(dims) {
-            println!(
-                "-- {} {} ({cycles} loaded cycles, rate {rate})",
-                dims,
-                cfg.label()
-            );
-            let mut baseline: Option<(Digest, f64)> = None;
-            let mut rows = Vec::new();
-            let mut mode_name = "";
-            for &t in &THREADS {
-                let (digest, cps) = warm_median3(|| timed_run(&cfg, &traffic, t));
-                let probe =
-                    Network::new(cfg.clone().with_step_threads(t)).expect("valid bench config");
-                let shards = probe.step_threads();
-                mode_name = probe.step_mode().name();
-                match &baseline {
-                    None => baseline = Some((digest, cps)),
-                    Some((d0, _)) => assert_eq!(
-                        *d0,
-                        digest,
-                        "{} {}: digest diverged at {t} step threads",
-                        dims,
-                        cfg.label()
-                    ),
-                }
-                let speedup = cps / baseline.expect("set above").1;
-                println!(
-                    "   threads={t} (shards={shards}): {} cycles/sec, speedup {}",
-                    fmt_f(cps, 0),
-                    fmt_f(speedup, 2),
-                );
-                rows.push((t, shards, cps, speedup));
-            }
-            let (digest, _) = baseline.expect("at least one thread count");
-            if !first {
-                let _ = writeln!(json, ",");
-            }
-            first = false;
-            let _ = writeln!(json, "    {{");
-            let _ = writeln!(json, "      \"dims\": \"{dims}\",");
-            let _ = writeln!(json, "      \"topology\": \"{}\",", cfg.label());
-            let _ = writeln!(json, "      \"loaded_cycles\": {cycles},");
-            let _ = writeln!(json, "      \"rate\": {rate},");
-            let _ = writeln!(json, "      \"digest\": {},", digest.json());
-            let _ = writeln!(json, "      \"threads\": [");
-            for (i, (t, shards, cps, speedup)) in rows.iter().enumerate() {
-                let _ = writeln!(
-                    json,
-                    "        {{\"step_mode\": \"{mode_name}\", \"step_threads\": {t}, \
-                     \"shards\": {shards}, \
-                     \"cycles_per_sec\": {}, \"speedup\": {}}}{}",
-                    fmt_f(*cps, 1),
-                    fmt_f(*speedup, 3),
-                    if i + 1 < rows.len() { "," } else { "" }
-                );
-            }
-            let _ = writeln!(json, "      ]");
-            let _ = write!(json, "    }}");
-        }
-    }
-    let _ = writeln!(json, "\n  ]");
-    let _ = writeln!(json, "}}");
-    write_artifact("BENCH_step.json", &json);
-}
-
-/// Runs the step-mode comparison section and writes
-/// `BENCH_step_mode.json`.
+/// Runs the step-mode comparison and writes `BENCH_step_mode.json`.
 fn bench_modes(opts: &Opts) {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -401,33 +224,28 @@ fn bench_modes(opts: &Opts) {
         let mut baseline: Option<(Digest, f64)> = None;
         let mut results = Vec::new();
         for mode in MODES {
-            for &t in &MODE_THREADS {
-                let (digest, cps) =
-                    warm_median3(|| timed_mode_run(&row.cfg, &row.schedule, row.horizon, mode, t));
-                let shards = Network::new(row.cfg.clone().with_step_threads(t))
-                    .expect("valid bench config")
-                    .step_threads();
-                match &baseline {
-                    None => baseline = Some((digest, cps)),
-                    Some((d0, _)) => assert_eq!(
-                        *d0,
-                        digest,
-                        "{} {} {}: digest diverged in {} mode at {t} step threads",
-                        row.dims,
-                        row.cfg.label(),
-                        row.workload,
-                        mode.name()
-                    ),
-                }
-                let speedup = cps / baseline.expect("set above").1;
-                println!(
-                    "   mode={} threads={t} (shards={shards}): {} cycles/sec, speedup {}",
-                    mode.name(),
-                    fmt_f(cps, 0),
-                    fmt_f(speedup, 2),
-                );
-                results.push((mode, t, shards, cps, speedup));
+            let (digest, cps) =
+                warm_median3(|| timed_mode_run(&row.cfg, &row.schedule, row.horizon, mode));
+            match &baseline {
+                None => baseline = Some((digest, cps)),
+                Some((d0, _)) => assert_eq!(
+                    *d0,
+                    digest,
+                    "{} {} {}: digest diverged in {} mode",
+                    row.dims,
+                    row.cfg.label(),
+                    row.workload,
+                    mode.name()
+                ),
             }
+            let speedup = cps / baseline.expect("set above").1;
+            println!(
+                "   mode={}: {} cycles/sec, speedup {}",
+                mode.name(),
+                fmt_f(cps, 0),
+                fmt_f(speedup, 2),
+            );
+            results.push((mode, cps, speedup));
         }
         let (digest, _) = baseline.expect("at least one mode");
         if !first {
@@ -443,11 +261,10 @@ fn bench_modes(opts: &Opts) {
         let _ = writeln!(json, "      \"injection_rate\": {},", fmt_f(rate, 5));
         let _ = writeln!(json, "      \"digest\": {},", digest.json());
         let _ = writeln!(json, "      \"modes\": [");
-        for (i, (mode, t, shards, cps, speedup)) in results.iter().enumerate() {
+        for (i, (mode, cps, speedup)) in results.iter().enumerate() {
             let _ = writeln!(
                 json,
-                "        {{\"step_mode\": \"{}\", \"step_threads\": {t}, \"shards\": {shards}, \
-                 \"cycles_per_sec\": {}, \"speedup\": {}}}{}",
+                "        {{\"step_mode\": \"{}\", \"cycles_per_sec\": {}, \"speedup\": {}}}{}",
                 mode.name(),
                 fmt_f(*cps, 1),
                 fmt_f(*speedup, 3),
@@ -464,10 +281,6 @@ fn bench_modes(opts: &Opts) {
 
 fn main() {
     let opts = Opts::from_env();
-    banner(
-        "step_bench",
-        "Network::step scaling (step threads) and step-mode comparison",
-    );
-    bench_threads(&opts);
+    banner("step_bench", "Network::step step-mode comparison");
     bench_modes(&opts);
 }

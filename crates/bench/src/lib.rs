@@ -26,6 +26,8 @@
 //! earlier runs. Pass `--quick` (or set `RUCHE_QUICK=1`) for a reduced
 //! sweep.
 
+#![forbid(unsafe_code)]
+
 pub mod degradation;
 pub mod figures;
 pub mod opts;

@@ -27,18 +27,11 @@ pub struct Opts {
     /// suite, writing `results/BENCH_degradation.json` (`--degradation` or
     /// `RUCHE_DEGRADATION=1`).
     pub degradation: bool,
-    /// Step-level shard threads per simulation (`--step-threads N`,
-    /// `--step-threads=N`, or `RUCHE_STEP_THREADS=N`; 0 keeps every run
-    /// serial). When > 1, the sweep engine trades run-level for step-level
-    /// parallelism: the worker-pool width is divided by this factor and
-    /// each `Network::step` is sharded instead. Results are byte-identical
-    /// either way.
-    pub step_threads: usize,
     /// Clock-advance mode applied to every simulated network
-    /// (`--step-mode cycle|event|auto`, `--step-mode=..`, or
+    /// (`--step-mode cycle|event`, `--step-mode=..`, or
     /// `RUCHE_STEP_MODE=..`; `None` lets each network resolve the
-    /// environment itself). Results are byte-identical in every mode — the
-    /// event modes only fast-forward provably-empty spans.
+    /// environment itself). Results are byte-identical in either mode —
+    /// event mode only fast-forwards provably-empty spans.
     pub step_mode: Option<StepMode>,
 }
 
@@ -63,7 +56,6 @@ impl Opts {
             args.iter().any(|a| a == name) || env(var).as_deref() == Some("1")
         };
         let mut threads = None;
-        let mut step_threads = None;
         let mut step_mode = None;
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -71,10 +63,6 @@ impl Opts {
                 threads = it.next().and_then(|v| v.parse().ok());
             } else if let Some(v) = a.strip_prefix("--threads=") {
                 threads = v.parse().ok();
-            } else if a == "--step-threads" {
-                step_threads = it.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--step-threads=") {
-                step_threads = v.parse().ok();
             } else if a == "--step-mode" {
                 step_mode = it.next().and_then(|v| v.parse().ok());
             } else if let Some(v) = a.strip_prefix("--step-mode=") {
@@ -85,9 +73,6 @@ impl Opts {
             .or_else(|| env("RUCHE_THREADS").and_then(|v| v.parse().ok()))
             .filter(|&n| n > 0)
             .unwrap_or_else(default_threads);
-        let step_threads = step_threads
-            .or_else(|| env("RUCHE_STEP_THREADS").and_then(|v| v.parse().ok()))
-            .unwrap_or(0);
         let step_mode = step_mode.or_else(|| env("RUCHE_STEP_MODE").and_then(|v| v.parse().ok()));
         Opts {
             quick: flag("--quick", "RUCHE_QUICK"),
@@ -97,7 +82,6 @@ impl Opts {
             lint_only: flag("--lint-only", "RUCHE_LINT_ONLY"),
             telemetry: flag("--telemetry", "RUCHE_TELEMETRY"),
             degradation: flag("--degradation", "RUCHE_DEGRADATION"),
-            step_threads,
             step_mode,
         }
     }
@@ -112,7 +96,6 @@ impl Opts {
             lint_only: false,
             telemetry: false,
             degradation: false,
-            step_threads: 0,
             step_mode: None,
         }
     }
@@ -134,12 +117,6 @@ impl Opts {
     /// Disables the on-disk sweep cache.
     pub fn without_cache(mut self) -> Self {
         self.no_cache = true;
-        self
-    }
-
-    /// Overrides the step-level shard thread count (0 = serial steps).
-    pub fn with_step_threads(mut self, step_threads: usize) -> Self {
-        self.step_threads = step_threads;
         self
     }
 
@@ -225,29 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_step_threads_flag_env_and_default() {
-        assert_eq!(Opts::parse(&strs(&["bench"]), NO_ENV).step_threads, 0);
-        let o = Opts::parse(&strs(&["bench", "--step-threads", "4"]), NO_ENV);
-        assert_eq!(o.step_threads, 4);
-        let o = Opts::parse(&strs(&["bench", "--step-threads=2"]), NO_ENV);
-        assert_eq!(o.step_threads, 2);
-        let env = |k: &str| (k == "RUCHE_STEP_THREADS").then(|| "3".to_string());
-        assert_eq!(Opts::parse(&strs(&["bench"]), env).step_threads, 3);
-        // An explicit flag beats the environment.
-        assert_eq!(
-            Opts::parse(&strs(&["bench", "--step-threads=8"]), env).step_threads,
-            8
-        );
-        assert_eq!(Opts::full().with_step_threads(4).step_threads, 4);
-    }
-
-    #[test]
     fn parses_step_mode_flag_env_and_default() {
         assert_eq!(Opts::parse(&strs(&["bench"]), NO_ENV).step_mode, None);
         let o = Opts::parse(&strs(&["bench", "--step-mode", "event"]), NO_ENV);
         assert_eq!(o.step_mode, Some(StepMode::EventDriven));
-        let o = Opts::parse(&strs(&["bench", "--step-mode=auto"]), NO_ENV);
-        assert_eq!(o.step_mode, Some(StepMode::Auto));
+        let o = Opts::parse(&strs(&["bench", "--step-mode=cycle"]), NO_ENV);
+        assert_eq!(o.step_mode, Some(StepMode::CycleAccurate));
         let env = |k: &str| (k == "RUCHE_STEP_MODE").then(|| "cycle".to_string());
         assert_eq!(
             Opts::parse(&strs(&["bench"]), env).step_mode,
@@ -259,13 +219,15 @@ mod tests {
             Some(StepMode::EventDriven)
         );
         // Garbage spellings fall back to unset rather than aborting.
+        for garbage in ["wheel", "auto"] {
+            assert_eq!(
+                Opts::parse(&strs(&["bench", "--step-mode", garbage]), NO_ENV).step_mode,
+                None
+            );
+        }
         assert_eq!(
-            Opts::parse(&strs(&["bench", "--step-mode", "wheel"]), NO_ENV).step_mode,
-            None
-        );
-        assert_eq!(
-            Opts::full().with_step_mode(StepMode::Auto).step_mode,
-            Some(StepMode::Auto)
+            Opts::full().with_step_mode(StepMode::EventDriven).step_mode,
+            Some(StepMode::EventDriven)
         );
     }
 

@@ -73,8 +73,8 @@ impl SweepJob {
     /// any client that can write JSON — unlike the `Debug`-based
     /// `SweepJob::key` it replaced (deprecated in 0.7.0, removed the
     /// release after, per the one-release deprecation policy).
-    /// `step_threads` and `step_mode` never reach the key, so results
-    /// from any engine at any thread count are interchangeable.
+    /// `step_mode` never reaches the key, so results from either step
+    /// mode are interchangeable.
     pub fn cache_key(&self) -> String {
         format!("{MODEL_VERSION}|{}", self.request().cache_key())
     }
@@ -265,7 +265,6 @@ impl SweepCache {
 #[derive(Debug)]
 pub struct SweepRunner {
     threads: usize,
-    step_threads: usize,
     step_mode: Option<StepMode>,
     store: Option<Arc<ResultStore>>,
     /// Jobs served from the result store across this runner's lifetime.
@@ -275,26 +274,15 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner honoring `opts` (thread count, cache enable, step-level
-    /// parallelism). When `opts.step_threads > 1`, run-level parallelism is
-    /// traded for step-level: the worker-pool width is divided by the
-    /// step-thread count (each simulation shards its own `Network::step`
-    /// across that many threads instead). Results are byte-identical either
-    /// way, so the cache is shared across the trade-off.
+    /// A runner honoring `opts` (thread count, cache enable, step mode).
     pub fn new(opts: Opts) -> Self {
-        let threads = if opts.step_threads > 1 {
-            (opts.threads / opts.step_threads).max(1)
-        } else {
-            opts.threads
-        };
         let store = (!opts.no_cache).then(|| {
             let store = ResultStore::open_default();
             store.migrate_legacy_tsv(&results_dir().join("sweep_cache.tsv"));
             Arc::new(store)
         });
         SweepRunner {
-            threads,
-            step_threads: opts.step_threads,
+            threads: opts.threads,
             step_mode: opts.step_mode,
             store,
             cache_hits: 0,
@@ -306,7 +294,6 @@ impl SweepRunner {
     pub fn uncached(threads: usize) -> Self {
         SweepRunner {
             threads,
-            step_threads: 0,
             step_mode: None,
             store: None,
             cache_hits: 0,
@@ -326,17 +313,9 @@ impl SweepRunner {
         self.store.as_ref()
     }
 
-    /// Shards every simulated job's `Network::step` across `step_threads`
-    /// threads (tests; [`SweepRunner::new`] derives this from its opts).
-    /// Unlike `new`, the run-level width is left untouched.
-    pub fn with_step_threads(mut self, step_threads: usize) -> Self {
-        self.step_threads = step_threads;
-        self
-    }
-
     /// Applies a clock-advance mode to every simulated job (tests;
     /// [`SweepRunner::new`] derives this from its opts). Results — and
-    /// hence cache entries — are byte-identical in every mode.
+    /// hence cache entries — are byte-identical in either mode.
     pub fn with_step_mode(mut self, mode: StepMode) -> Self {
         self.step_mode = Some(mode);
         self
@@ -345,12 +324,6 @@ impl SweepRunner {
     /// The worker-pool width this runner uses.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The step-level shard thread count applied to simulated jobs
-    /// (0 = serial steps).
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
     }
 
     /// The clock-advance mode applied to simulated jobs (`None` lets each
@@ -404,14 +377,7 @@ impl SweepRunner {
         }
 
         if !misses.is_empty() {
-            let computed = run_pool(
-                jobs,
-                &misses,
-                self.threads,
-                self.step_threads,
-                self.step_mode,
-                &sink,
-            );
+            let computed = run_pool(jobs, &misses, self.threads, self.step_mode, &sink);
             for (&i, res) in misses.iter().zip(computed) {
                 if let Some(store) = &self.store {
                     if !jobs[i].per_tile {
@@ -444,16 +410,13 @@ fn scrub_per_tile(res: &TbResult) -> TbResult {
 
 /// Runs `jobs[misses[..]]` on a scoped worker pool; returns results in
 /// `misses` order. Workers pull the next job index from a shared atomic
-/// cursor, so scheduling is dynamic but the output order is fixed. A
-/// non-zero `step_threads` shards each simulation's `Network::step`, and a
-/// set `step_mode` selects the clock-advance mode (both engines are
-/// byte-identical to the reference, so these only change where wall-clock
-/// time goes).
+/// cursor, so scheduling is dynamic but the output order is fixed. A set
+/// `step_mode` selects the clock-advance mode (both modes are
+/// byte-identical, so it only changes where wall-clock time goes).
 fn run_pool(
     jobs: &[SweepJob],
     misses: &[usize],
     threads: usize,
-    step_threads: usize,
     step_mode: Option<StepMode>,
     sink: &(impl Fn(usize, &TbResult) + Sync),
 ) -> Vec<TbResult> {
@@ -467,9 +430,6 @@ fn run_pool(
                 let Some(&i) = misses.get(k) else { break };
                 let job = &jobs[i];
                 let mut cfg = job.cfg.clone();
-                if step_threads > 0 {
-                    cfg = cfg.with_step_threads(step_threads);
-                }
                 if let Some(mode) = step_mode {
                     cfg = cfg.with_step_mode(mode);
                 }
@@ -549,53 +509,22 @@ mod tests {
     }
 
     #[test]
-    fn step_threads_does_not_change_the_cache_key() {
-        let dims = Dims::new(8, 8);
-        let tb = quick_tb(0.1);
-        let serial = SweepJob::new(NetworkConfig::mesh(dims), tb.clone());
-        let sharded = SweepJob::new(NetworkConfig::mesh(dims).with_step_threads(4), tb.clone());
-        assert_eq!(
-            serial.cache_key(),
-            sharded.cache_key(),
-            "sharded and serial runs are byte-identical, so they must share \
-             a cache entry"
-        );
-        // And therefore a result computed serially is a hit for a sharded
-        // run (and vice versa).
-        let mut cache = SweepCache::default();
-        let tb4 = quick_tb(0.05);
-        let a = SweepJob::new(NetworkConfig::mesh(Dims::new(4, 4)), tb4.clone());
-        let b = SweepJob::new(
-            NetworkConfig::mesh(Dims::new(4, 4)).with_step_threads(2),
-            tb4,
-        );
-        let res = ruche_traffic::run(&a.cfg, &a.tb).unwrap();
-        cache.insert(a.cache_key(), res);
-        assert!(
-            cache.get(&b.cache_key()).is_some(),
-            "cache hits must be thread-count-independent"
-        );
-    }
-
-    #[test]
     fn step_mode_does_not_change_the_cache_key() {
         let dims = Dims::new(8, 8);
         let tb = quick_tb(0.1);
         let cycle = SweepJob::new(NetworkConfig::mesh(dims), tb.clone());
         let event = SweepJob::new(
             NetworkConfig::mesh(dims).with_step_mode(StepMode::EventDriven),
-            tb.clone(),
+            tb,
         );
-        let auto = SweepJob::new(NetworkConfig::mesh(dims).with_step_mode(StepMode::Auto), tb);
         assert_eq!(
             cycle.cache_key(),
             event.cache_key(),
             "event-driven and cycle-accurate runs are byte-identical, so \
              they must share a cache entry"
         );
-        assert_eq!(cycle.cache_key(), auto.cache_key());
         // And therefore a result computed in one mode is a hit for a run
-        // in any other mode.
+        // in the other.
         let mut cache = SweepCache::default();
         let tb4 = quick_tb(0.05);
         let a = SweepJob::new(NetworkConfig::mesh(Dims::new(4, 4)), tb4.clone());
@@ -609,21 +538,6 @@ mod tests {
             cache.get(&b.cache_key()).is_some(),
             "cache hits must be step-mode-independent"
         );
-    }
-
-    #[test]
-    fn step_threads_divide_the_run_pool() {
-        let opts = Opts::full()
-            .without_cache()
-            .with_threads(8)
-            .with_step_threads(4);
-        let runner = SweepRunner::new(opts);
-        assert_eq!(runner.threads(), 2, "run-level threads divided");
-        assert_eq!(runner.step_threads(), 4);
-        // Serial steps leave the pool width alone; narrow pools floor at 1.
-        assert_eq!(SweepRunner::new(Opts::full().with_threads(8)).threads(), 8);
-        let narrow = Opts::full().with_threads(2).with_step_threads(8);
-        assert_eq!(SweepRunner::new(narrow).threads(), 1);
     }
 
     #[test]

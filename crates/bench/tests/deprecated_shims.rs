@@ -25,16 +25,16 @@ fn cache_key_is_the_versioned_canonical_request_rendering() {
 
 #[test]
 fn cache_key_ignores_engine_knobs() {
-    // The knobs the removed shim also never leaked: results computed at
-    // any (step_mode × step_threads) point share one store entry.
+    // The knob the removed shim also never leaked: results computed in
+    // either step mode share one store entry.
     let tb = Testbench::builder(Pattern::UniformRandom, 0.1)
         .quick()
         .build()
         .unwrap();
     let base = SweepJob::new(NetworkConfig::mesh(Dims::new(8, 8)), tb.clone());
-    let threaded = SweepJob::new(
-        NetworkConfig::mesh(Dims::new(8, 8)).with_step_threads(4),
+    let evented = SweepJob::new(
+        NetworkConfig::mesh(Dims::new(8, 8)).with_step_mode(StepMode::EventDriven),
         tb,
     );
-    assert_eq!(base.cache_key(), threaded.cache_key());
+    assert_eq!(base.cache_key(), evented.cache_key());
 }

@@ -10,9 +10,9 @@ use ruche_stats::fmt_f;
 use ruche_traffic::{Pattern, Testbench};
 
 /// Renders the Figure 6 quick curve rows for one pattern at the given
-/// worker-pool width, step-level shard thread count, and step mode,
-/// exactly as `figures::fig6` formats them.
-fn fig6_quick_rows_mode(threads: usize, step_threads: usize, mode: Option<StepMode>) -> String {
+/// worker-pool width and step mode, exactly as `figures::fig6` formats
+/// them.
+fn fig6_quick_rows(threads: usize, mode: Option<StepMode>) -> String {
     let dims = Dims::new(8, 8);
     let rates = [0.02, 0.10, 0.20, 0.30, 0.45];
     let pattern = Pattern::UniformRandom;
@@ -25,7 +25,7 @@ fn fig6_quick_rows_mode(threads: usize, step_threads: usize, mode: Option<StepMo
             .expect("smoke testbench is valid");
         jobs.extend(sweep::curve_jobs(&cfg, &proto, &rates));
     }
-    let mut runner = SweepRunner::uncached(threads).with_step_threads(step_threads);
+    let mut runner = SweepRunner::uncached(threads);
     if let Some(mode) = mode {
         runner = runner.with_step_mode(mode);
     }
@@ -45,36 +45,18 @@ fn fig6_quick_rows_mode(threads: usize, step_threads: usize, mode: Option<StepMo
     out
 }
 
-/// Renders the Figure 6 quick curve rows without a step-mode override.
-fn fig6_quick_rows_sharded(threads: usize, step_threads: usize) -> String {
-    fig6_quick_rows_mode(threads, step_threads, None)
-}
-
 #[test]
 fn parallel_fig6_sweep_is_byte_identical_to_serial() {
-    let serial = fig6_quick_rows_sharded(1, 0);
-    let parallel = fig6_quick_rows_sharded(4, 0);
+    let serial = fig6_quick_rows(1, None);
+    let parallel = fig6_quick_rows(4, None);
     assert!(!serial.is_empty());
     assert_eq!(serial, parallel, "CSV rows must not depend on thread count");
 }
 
 #[test]
-fn step_level_parallelism_is_byte_identical_to_run_level() {
-    // One worker stepping each network across 4 shard threads must render
-    // the same bytes as 4 workers stepping serially.
-    let step_level = fig6_quick_rows_sharded(1, 4);
-    let run_level = fig6_quick_rows_sharded(4, 0);
-    assert!(!step_level.is_empty());
-    assert_eq!(
-        step_level, run_level,
-        "CSV rows must not depend on where the parallelism lives"
-    );
-}
-
-#[test]
 fn event_driven_sweep_is_byte_identical_to_cycle_accurate() {
-    let cycle = fig6_quick_rows_mode(2, 0, Some(StepMode::CycleAccurate));
-    let event = fig6_quick_rows_mode(2, 0, Some(StepMode::EventDriven));
+    let cycle = fig6_quick_rows(2, Some(StepMode::CycleAccurate));
+    let event = fig6_quick_rows(2, Some(StepMode::EventDriven));
     assert!(!cycle.is_empty());
     assert_eq!(cycle, event, "CSV rows must not depend on the step mode");
 }

@@ -1,36 +1,30 @@
-//! The full `repro --quick` artifact set must be byte-identical whether
-//! every network steps serially or across four shard threads, and whether
-//! the clock advances cycle by cycle or through the event wheel — the
-//! end-to-end form of the determinism guarantees in `docs/PARALLELISM.md`
-//! and `docs/EVENTS.md`.
+//! The full `repro --quick` artifact set is pinned end to end: it must
+//! match the committed golden digests byte for byte, and it must be
+//! byte-identical whether the clock advances cycle by cycle or through the
+//! event wheel — the end-to-end form of the determinism guarantees in
+//! `docs/EVENTS.md`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Runs the real `repro` binary with the given `RUCHE_STEP_THREADS` and
-/// extra CLI arguments, redirecting artifacts into `dir` and bypassing the
-/// run cache so both engines actually simulate every point.
-fn run_repro_args(step_threads: &str, args: &[&str], dir: &Path) {
+/// Golden digests of the quick artifact set (see the file's header).
+const GOLDEN: &str = include_str!("repro_quick_golden.txt");
+
+/// Runs the real `repro` binary with the given extra CLI arguments,
+/// redirecting artifacts into `dir` and bypassing the run cache so every
+/// point is actually simulated.
+fn run_repro(args: &[&str], dir: &Path) {
     let status = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--quick", "--telemetry"])
         .args(args)
-        .env("RUCHE_STEP_THREADS", step_threads)
         .env("RUCHE_RESULTS_DIR", dir)
         .env("RUCHE_NO_CACHE", "1")
         .env("RUCHE_THREADS", "2")
         .stdout(std::process::Stdio::null())
         .status()
         .expect("repro binary runs");
-    assert!(
-        status.success(),
-        "repro --quick {args:?} failed with RUCHE_STEP_THREADS={step_threads}"
-    );
-}
-
-/// Runs the real `repro` binary with the given `RUCHE_STEP_THREADS`.
-fn run_repro(step_threads: &str, dir: &Path) {
-    run_repro_args(step_threads, &[], dir);
+    assert!(status.success(), "repro --quick {args:?} failed");
 }
 
 /// Collects every artifact in `dir` keyed by file name. Cache files
@@ -49,48 +43,33 @@ fn artifacts(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
+/// 64-bit FNV-1a: tiny, dependency-free, and stable across platforms.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
-#[ignore = "runs two full quick repro sweeps (~minutes); exercised by the dedicated CI step"]
-fn quick_repro_artifacts_are_byte_identical_across_step_threads() {
-    let base = std::env::temp_dir().join(format!("ruche_step_artifacts_{}", std::process::id()));
-    let serial_dir: PathBuf = base.join("serial");
-    let sharded_dir: PathBuf = base.join("sharded");
-    run_repro("1", &serial_dir);
-    run_repro("4", &sharded_dir);
-
-    let serial = artifacts(&serial_dir);
-    let sharded = artifacts(&sharded_dir);
-    let names: Vec<&str> = serial.keys().map(String::as_str).collect();
-    for expected in [
-        "ablations.csv",
-        "fig6_synthetic_curves.csv",
-        "fig7_area_vs_cycle.csv",
-        "fig8_fairness.csv",
-        "fig9_half_ruche_curves.csv",
-        "fig10_speedup.csv",
-        "fig11_scalability.csv",
-        "fig12_load_latency.csv",
-        "fig13_energy.csv",
-        "table6_summary.csv",
-        "telemetry_fig6_mesh.json",
-        "telemetry_fig8_torus.json",
-    ] {
-        assert!(names.contains(&expected), "missing artifact {expected}");
-    }
+#[ignore = "runs a full quick repro sweep (~minutes); exercised by the dedicated CI step"]
+fn quick_repro_artifacts_match_the_golden_digests() {
+    let dir = std::env::temp_dir().join(format!("ruche_golden_artifacts_{}", std::process::id()));
+    run_repro(&[], &dir);
+    let actual: String = artifacts(&dir)
+        .iter()
+        .map(|(name, bytes)| format!("{:016x}  {name}\n", fnv1a64(bytes)))
+        .collect();
+    let expected: String = GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| format!("{l}\n"))
+        .collect();
     assert_eq!(
-        serial.keys().collect::<Vec<_>>(),
-        sharded.keys().collect::<Vec<_>>(),
-        "the two engines must write the same artifact set"
+        actual, expected,
+        "quick repro artifacts drifted from tests/repro_quick_golden.txt; \
+         the digests of this run are:\n{actual}"
     );
-    for (name, bytes) in &serial {
-        assert_eq!(
-            Some(bytes),
-            sharded.get(name),
-            "artifact {name} differs between step_threads=1 and step_threads=4"
-        );
-    }
-
-    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -99,8 +78,8 @@ fn quick_repro_artifacts_are_byte_identical_across_step_modes() {
     let base = std::env::temp_dir().join(format!("ruche_mode_artifacts_{}", std::process::id()));
     let cycle_dir: PathBuf = base.join("cycle");
     let event_dir: PathBuf = base.join("event");
-    run_repro_args("1", &["--step-mode", "cycle"], &cycle_dir);
-    run_repro_args("1", &["--step-mode", "event"], &event_dir);
+    run_repro(&["--step-mode", "cycle"], &cycle_dir);
+    run_repro(&["--step-mode", "event"], &event_dir);
 
     let cycle = artifacts(&cycle_dir);
     let event = artifacts(&event_dir);

@@ -26,6 +26,8 @@
 //! offline CI container and cheap enough for `repro --lint-only`
 //! preflight.
 
+#![forbid(unsafe_code)]
+
 pub mod rules;
 pub mod scan;
 

@@ -1,9 +1,8 @@
 //! Negative-control tests for every lint rule: each fixture under
 //! `tests/fixtures/` contains a deliberate violation and the rule must
-//! fire on it — the same prove-the-checker-can-fail discipline as
-//! `ruche-soundness`'s broken protocol variants. The final test pins the
-//! real workspace at zero findings, which is what makes the rules
-//! enforceable in CI at all.
+//! fire on it: a checker that cannot fail proves nothing. The final test
+//! pins the real workspace at zero findings, which is what makes the
+//! rules enforceable in CI at all.
 
 use ruche_lint::rules::deprecated_shims;
 use ruche_lint::scan::scan;

@@ -25,6 +25,7 @@
 //! # Ok::<(), ruche_manycore::machine::MachineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

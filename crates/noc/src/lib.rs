@@ -40,6 +40,7 @@
 //! # Ok::<(), ruche_noc::topology::ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -50,10 +51,8 @@ pub mod fault;
 pub mod fifo;
 pub mod geometry;
 pub mod packet;
-pub mod pool;
 pub mod router;
 pub mod routing;
-pub mod shard;
 pub mod sim;
 pub mod telemetry;
 pub mod topology;
@@ -68,13 +67,11 @@ pub mod prelude {
     pub use crate::fault::{FaultError, FaultModel, RouteTable};
     pub use crate::geometry::{Axes, Axis, Coord, Dims, Dir};
     pub use crate::packet::{Flit, FlitKind};
-    pub use crate::pool::StepPool;
     pub use crate::routing::{
         compute_route, mean_route_hops, route_hops, try_walk_route, walk_route, Dest, EdgePort,
         RouteDecision, RouteError,
     };
-    pub use crate::shard::{ShardMap, MAX_SHARDS};
-    pub use crate::sim::{EndpointId, EndpointKind, LinkLoads, NetSnapshot, NetStats, Network};
+    pub use crate::sim::{EndpointId, EndpointKind, LinkLoads, NetSnapshot, Network};
     pub use crate::telemetry::{BlockCause, LinkVcStats, NetTelemetry};
     pub use crate::topology::{
         CrossbarScheme, DorOrder, NetworkConfig, NetworkConfigBuilder, StepMode, SurveyTopology,

@@ -15,9 +15,9 @@
 //! The per-cycle evaluation lives in [`crate::sim`]; this module holds the
 //! buffer and flow-control state that persists between cycles. Arbiter and
 //! allocator state (round-robin pointers, wavefront priority) lives in
-//! [`crate::sim::Network`]-level arrays instead of here: the sharded plan
-//! phase reads *all* routers immutably while mutating only shard-owned
-//! arbiters, so the two must live in separate allocations.
+//! [`crate::sim::Network`]-level arrays instead of here: the plan phase
+//! reads *all* routers immutably while mutating arbiters, so the two must
+//! live in separate borrows.
 
 use crate::fifo::Fifo;
 use crate::geometry::{Coord, Dir};

@@ -19,10 +19,8 @@ use crate::error::Error;
 use crate::fault::{FaultModel, RouteTable};
 use crate::geometry::{Coord, Dir};
 use crate::packet::Flit;
-use crate::pool::StepPool;
 use crate::router::Router;
 use crate::routing::{compute_route, Dest};
-use crate::shard::{Mail, ShardMap, ShardState, Transfer, MAX_SHARDS};
 use crate::telemetry::{BlockCause, NetTelemetry};
 use crate::topology::{ConfigError, NetworkConfig, StepMode};
 use std::collections::VecDeque;
@@ -78,17 +76,16 @@ enum LinkTarget {
     None,
 }
 
-/// Aggregate motion counters.
+/// Aggregate motion counters (reported through [`NetSnapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
+struct NetStats {
     /// Flits that have entered a router FIFO from a source queue.
-    pub injected: u64,
+    injected: u64,
     /// Flits delivered to endpoint sinks.
-    pub ejected: u64,
+    ejected: u64,
 }
 
-/// A versioned, point-in-time view of the aggregate simulation state — the
-/// one-stop replacement for the former per-counter probe methods.
+/// A versioned, point-in-time view of the aggregate simulation state.
 ///
 /// The snapshot is `Copy` and computing it allocates nothing, so it is safe
 /// to take every cycle inside a simulation driver loop.
@@ -135,8 +132,7 @@ impl NetSnapshot {
     }
 }
 
-/// A borrowed view of the per-(node, output port) flit traversal counters,
-/// replacing the raw [`Network::traversals`] slice accessor.
+/// A borrowed view of the per-(node, output port) flit traversal counters.
 ///
 /// # Examples
 ///
@@ -255,8 +251,8 @@ pub struct Network {
     /// loop performs no heap allocation in steady state).
     scratch_inject: Vec<u32>,
     /// Wormhole round-robin arbiters, one per (node, output port). Lives
-    /// outside [`Router`] so the plan phase can mutate shard-owned arbiter
-    /// state while sharing all routers immutably. Empty for VC networks.
+    /// outside [`Router`] so the plan phase can mutate arbiter state while
+    /// reading all routers immutably. Empty for VC networks.
     out_rr: Vec<RoundRobin>,
     /// VC-router per-input VC selectors, one per (node, input port).
     /// Empty for wormhole networks.
@@ -269,13 +265,11 @@ pub struct Network {
     /// ([`Network::run`], [`Network::fast_forward`]); `step` itself is
     /// mode-independent.
     step_mode: StepMode,
-    /// Row-band partition of the grid (a single shard when serial).
-    shard_map: ShardMap,
-    /// Per-shard scratch and staging state (transfers, mailboxes,
-    /// telemetry logs); one entry per shard, reused every cycle.
-    shards: Vec<ShardState>,
-    /// Persistent worker pool driving the shards (`None` when serial).
-    pool: Option<StepPool>,
+    /// Grants planned this cycle, in ascending node order (reusable
+    /// scratch, sized for one transfer per output port).
+    transfers: Vec<Transfer>,
+    /// Per-router planner scratch.
+    scratch: PlanScratch,
     /// Attached per-link instrumentation; `None` (the default) keeps the
     /// cycle loop allocation-free and branch-cheap.
     telemetry: Option<Box<NetTelemetry>>,
@@ -402,7 +396,7 @@ impl Network {
 
         // Arbiter and allocator state lives in per-node arrays parallel to
         // `routers` (see `crate::router`): the plan phase mutates only the
-        // shard-owned slices while reading every router immutably.
+        // arbiters while reading every router immutably.
         let is_vc = cfg.is_vc_router();
         let out_rr: Vec<RoundRobin> = if is_vc {
             Vec::new()
@@ -421,45 +415,6 @@ impl Network {
         } else {
             Vec::new()
         };
-
-        let shard_map = ShardMap::new(dims, resolve_step_threads(cfg.step_threads));
-        let k = shard_map.count();
-        // Exact per-cycle mail bound between every ordered shard pair,
-        // counted from the topology: at most one push per (node, out port)
-        // crossing src→dst (one transfer per output per cycle) and at most
-        // one credit per (node, in port) whose upstream feeder sits in dst
-        // (one pop per input per cycle). Ruche channels wrap on tori, so no
-        // adjacency between bands is assumed. Sizing both the outbox bucket
-        // and the matching inbox slot to this bound makes the exchange's
-        // swaps allocation-free forever.
-        let mut mail_caps = vec![0usize; k * k];
-        for node in 0..n_nodes {
-            let s = shard_map.shard_of(node);
-            for p in 0..np {
-                if let LinkTarget::Router { node: dn, .. } = out_links[node * np + p] {
-                    let d = shard_map.shard_of(dn);
-                    if d != s {
-                        mail_caps[s * k + d] += 1;
-                    }
-                }
-                if let Some((un, _)) = upstream[node * np + p] {
-                    let d = shard_map.shard_of(un);
-                    if d != s {
-                        mail_caps[s * k + d] += 1;
-                    }
-                }
-            }
-        }
-        let shards: Vec<ShardState> = (0..k)
-            .map(|s| {
-                let outbox_caps = &mail_caps[s * k..(s + 1) * k];
-                let inbox_caps: Vec<usize> = (0..k).map(|src| mail_caps[src * k + s]).collect();
-                ShardState::new(shard_map.range(s), np, outbox_caps, &inbox_caps)
-            })
-            .collect();
-        // The calling thread participates in every epoch, so a k-shard grid
-        // wants k - 1 pooled workers. Created once, parked between cycles.
-        let pool = (shards.len() > 1).then(|| StepPool::new(shards.len() - 1));
 
         Ok(Network {
             ports,
@@ -492,22 +447,19 @@ impl Network {
             in_rr_vc,
             sw_alloc,
             step_mode: resolve_step_mode(cfg.step_mode),
-            shard_map,
-            shards,
-            pool,
+            transfers: Vec::with_capacity(n_nodes * np),
+            scratch: PlanScratch::new(np),
             telemetry: None,
             fault_plan,
             cfg,
         })
     }
 
-    /// Effective step parallelism: the number of shards stepped
-    /// concurrently (1 = serial). Derived from the requested thread count —
-    /// the `step_threads` config knob when non-zero, else the
-    /// `RUCHE_STEP_THREADS` environment override — clamped by the grid's
-    /// row count and [`MAX_SHARDS`] (see [`ShardMap::new`]).
+    /// Step parallelism, always 1: `Network::step` runs serially on the
+    /// calling thread. Parallelism lives at the run level, one simulation
+    /// per sweep-pool worker (see `docs/PARALLELISM.md`).
     pub fn step_threads(&self) -> usize {
-        self.shard_map.count()
+        1
     }
 
     /// Resolved clock-advance mode: the `step_mode` config knob when set,
@@ -539,60 +491,13 @@ impl Network {
     ///   nothing will ever happen without a new [`Network::enqueue`].
     ///
     /// This is the wake-set introspection event-driven drivers use to jump
-    /// the clock over dead spans (see [`Network::fast_forward`]). It always
-    /// equals the minimum of [`Network::shard_next_event_cycle`] over all
-    /// shards: every active router, queued source, and pipelined arrival
-    /// belongs to exactly one row band.
+    /// the clock over dead spans (see [`Network::fast_forward`]).
     pub fn next_event_cycle(&self) -> Option<u64> {
         if !self.active.is_empty() || !self.active_src.is_empty() {
             return Some(self.cycle);
         }
         let transit = self.in_transit.front().map(|&(arrive, ..)| arrive);
         let eject = self.in_transit_eject.front().map(|&(arrive, ..)| arrive);
-        match (transit, eject) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
-    }
-
-    /// The next cycle in which stepping can move a flit **inside shard
-    /// `s`'s row band**: `Some(self.cycle())` while any band router
-    /// buffers a flit or any band source queue is non-empty, `Some(t)`
-    /// when the band's earliest pipelined arrival (hop or delayed
-    /// ejection) lands at `t`, and `None` when the band is quiescent — the
-    /// shard sleeps through every pool epoch until cross-band mail or a
-    /// new enqueue re-arms it. The global [`Network::next_event_cycle`] is
-    /// the minimum of this over all shards, which is what
-    /// [`Network::fast_forward`] skips to.
-    ///
-    /// Introspection only (it scans the transit queues); the hot path
-    /// derives the per-cycle awake mask from the sorted worklist split
-    /// instead.
-    pub fn shard_next_event_cycle(&self, s: usize) -> Option<u64> {
-        let band = self.shard_map.range(s);
-        let owns_ep = |ep: usize| {
-            let node = self.entries[ep].0;
-            node != usize::MAX && band.contains(&node)
-        };
-        if self.active.iter().any(|&n| band.contains(&(n as usize)))
-            || self.active_src.iter().any(|&e| owns_ep(e as usize))
-        {
-            return Some(self.cycle);
-        }
-        let transit = self
-            .in_transit
-            .iter()
-            .filter(|&&(_, node, ..)| band.contains(&node))
-            .map(|&(arrive, ..)| arrive)
-            .min();
-        let eject = self
-            .in_transit_eject
-            .iter()
-            .filter(|&&(_, ep, _)| owns_ep(ep.0))
-            .map(|&(arrive, ..)| arrive)
-            .min();
         match (transit, eject) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (Some(a), None) => Some(a),
@@ -610,20 +515,10 @@ impl Network {
     /// snapshots, and telemetry (idle occupancy samples and empty
     /// injection/ejection bins are recorded in bulk) end up byte-identical
     /// to stepping the span cycle by cycle. In
-    /// [`StepMode::CycleAccurate`] this never skips, and in
-    /// [`StepMode::Auto`] it engages only after a short idle streak; both
-    /// then return the current cycle unchanged.
+    /// [`StepMode::CycleAccurate`] this never skips and returns the
+    /// current cycle unchanged.
     pub fn fast_forward(&mut self, target: u64) -> u64 {
-        let engaged = match self.step_mode {
-            StepMode::CycleAccurate => false,
-            StepMode::EventDriven => true,
-            // Deterministic heuristic: probe for skippable spans only once
-            // the watchdog shows a short idle streak, so saturated runs
-            // never pay the quiescence checks. Pure wall-clock trade —
-            // skipped spans are provably empty either way.
-            StepMode::Auto => self.cycle - self.last_progress >= AUTO_IDLE_STREAK,
-        };
-        if !engaged {
+        if self.step_mode == StepMode::CycleAccurate {
             return self.cycle;
         }
         let to = match self.next_event_cycle() {
@@ -723,33 +618,6 @@ impl Network {
         }
     }
 
-    /// Motion counters.
-    #[deprecated(since = "0.1.0", note = "use `Network::snapshot()` instead")]
-    pub fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    /// Flits currently buffered inside routers.
-    #[deprecated(since = "0.1.0", note = "use `Network::snapshot().in_flight` instead")]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Flits waiting in endpoint source queues.
-    #[deprecated(since = "0.1.0", note = "use `Network::snapshot().queued` instead")]
-    pub fn queued(&self) -> usize {
-        self.sources.iter().map(VecDeque::len).sum()
-    }
-
-    /// Cycles elapsed since a flit last moved (deadlock watchdog).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Network::snapshot().cycles_since_progress` instead"
-    )]
-    pub fn cycles_since_progress(&self) -> u64 {
-        self.cycle - self.last_progress
-    }
-
     /// The endpoint of a tile's processor port.
     pub fn tile_endpoint(&self, c: Coord) -> EndpointId {
         EndpointId(self.cfg.dims.index(c))
@@ -824,13 +692,6 @@ impl Network {
     /// Number of flits waiting in `ep`'s source queue.
     pub fn source_len(&self, ep: EndpointId) -> usize {
         self.sources[ep.0].len()
-    }
-
-    /// Flit count forwarded through each (node, output port) so far,
-    /// indexed `node * ports().len() + port`.
-    #[deprecated(since = "0.1.0", note = "use `Network::link_loads()` instead")]
-    pub fn traversals(&self) -> &[u64] {
-        &self.traversals
     }
 
     /// The per-(node, output port) flit traversal counters.
@@ -928,48 +789,23 @@ impl Network {
         let mut tel = self.telemetry.take();
 
         // Empty wake-set fast path: when no router buffers a flit there is
-        // nothing to plan, commit, or drain, so both phases — and their two
-        // pool barriers when sharded — are skipped outright. The phases are
-        // exact no-ops over an empty worklist, so the skip is taken in
-        // every step mode without changing any result.
+        // nothing to plan or commit. Both phases are exact no-ops over an
+        // empty worklist, so the skip is taken in every step mode without
+        // changing any result.
         let progressed = if self.active.is_empty() {
             false
         } else {
-            // Phase A: plan route/VC/switch grants shard-locally. Every
-            // decision observes cycle-start state (routers are shared
-            // immutably across shards; only shard-owned arbiter state
-            // mutates), so the result is independent of shard count and
-            // scheduling. Shards whose band holds no buffered flit sleep
-            // through both pool epochs: the returned awake mask masks them
-            // out of publish, so they are never claimed and cost nothing.
-            let awake = self.plan_phase(tel.is_some());
-
-            // Replay per-shard telemetry logs into the shared sink in shard
-            // order — identical to the serial recording order. (Sleeping
-            // shards logged nothing; their buffers are empty.)
+            // Phase A: plan route/VC/switch grants against cycle-start
+            // state, recording blocked requests as they are decided.
+            self.plan(tel.as_deref_mut());
             if let Some(t) = tel.as_deref_mut() {
-                for st in &mut self.shards {
-                    for &(node, port, vc, cause) in &st.blocked {
-                        t.record_blocked(node as usize, port as usize, vc as usize, cause);
-                    }
-                    st.blocked.clear();
-                    for tr in &st.transfers {
-                        t.record_traversal(tr.node, tr.out_port, tr.out_vc);
-                    }
+                for tr in &self.transfers {
+                    t.record_traversal(tr.node, tr.out_port, tr.out_vc);
                 }
             }
-            let progressed = self.shards.iter().any(|s| !s.transfers.is_empty());
-
-            // Phase B: commit the planned traversals. Shard-local effects
-            // apply directly; cross-shard pushes and credit returns are
-            // staged per destination shard, exchanged by pointer swap, and
-            // applied by each destination in canonical (source shard,
-            // node, port, vc) order — mail into a sleeping shard is the
-            // wake-on-credit edge that re-arms it for the next cycle.
-            self.commit_phase(awake);
-            let inboxes = self.exchange_mail();
-            self.apply_inboxes(inboxes);
-            self.drain_shards();
+            let progressed = !self.transfers.is_empty();
+            // Phase B: commit the planned traversals.
+            self.commit();
             progressed
         };
 
@@ -1047,28 +883,18 @@ impl Network {
         }
     }
 
-    /// Phase A: splits the sorted worklist and the arbiter arrays into
-    /// per-shard chunks and plans each shard (in parallel when pooled).
-    /// Planning reads all routers immutably and mutates only shard-owned
-    /// state, so cross-shard credit observations are exactly the immutable
-    /// cycle-start snapshot.
-    ///
-    /// Returns the **awake mask**: bit `s` set iff shard `s`'s slice of
-    /// the worklist is non-empty. Sleeping shards are masked out of the
-    /// pool epoch ([`StepPool::run_parts_masked`]) — zero plan work,
-    /// skipped at claim time — and when a single shard is awake the plan
-    /// runs inline on the caller with no pool epoch at all. Skipping a
-    /// sleeping shard touches nothing the serial path would touch: plan
-    /// only visits active nodes, and a shard with none mutates no arbiter,
-    /// no cache, no scratch.
-    fn plan_phase(&mut self, tel_on: bool) -> u32 {
+    /// Phase A: plans route/VC/switch grants for every active router into
+    /// `self.transfers`, in ascending node order. Planning reads every
+    /// router immutably and mutates only arbiter state, route caches and
+    /// scratch, so each decision observes exactly the cycle-start state.
+    /// Blocked-request telemetry is recorded as it is decided.
+    fn plan(&mut self, tel: Option<&mut NetTelemetry>) {
         let Network {
             cfg,
             ports,
             conn,
             routers,
             out_links,
-            upstream: _,
             pending_arrivals,
             occupancy,
             fault_plan,
@@ -1078,8 +904,8 @@ impl Network {
             in_rr_vc,
             sw_alloc,
             route_cache,
-            shards,
-            pool,
+            scratch,
+            transfers,
             ..
         } = self;
         let px = PlanShared {
@@ -1092,334 +918,118 @@ impl Network {
             occupancy,
             fault_plan: fault_plan.as_deref(),
             max_vcs: *max_vcs,
-            tel: tel_on,
         };
-        let np = px.ports.len();
-        let is_vc = px.cfg.is_vc_router();
-        let k = shards.len();
-        if k == 1 {
-            // Serial fast path: one shard owns everything, so hand it the
-            // full slices directly instead of building the chunk table.
-            shards[0].awake = true;
-            let mut c = PlanChunk {
-                active,
-                out_rr,
-                in_rr_vc,
-                sw_alloc,
-                route_cache,
-                st: &mut shards[0],
-            };
-            if is_vc {
-                plan_vc_shard(&px, &mut c);
-            } else {
-                plan_wormhole_shard(&px, &mut c);
-            }
-            return 1;
-        }
-        let mut awake_mask = 0u32;
-        let mut chunks: [Option<PlanChunk>; MAX_SHARDS] = std::array::from_fn(|_| None);
-        {
-            let mut act: &[u32] = active;
-            let mut orr: &mut [RoundRobin] = out_rr;
-            let mut irr: &mut [RoundRobin] = in_rr_vc;
-            let mut swa: &mut [Wavefront] = sw_alloc;
-            let mut rc: &mut [Option<(usize, u8)>] = route_cache;
-            for (s, st) in shards.iter_mut().enumerate() {
-                let n = st.n_nodes;
-                let hi = st.first_node + n;
-                // The worklist is sorted ascending, so this shard's nodes
-                // are the prefix below its upper bound. An empty slice
-                // means the whole band is quiescent — the shard sleeps.
-                let cut = act.partition_point(|&x| (x as usize) < hi);
-                let (mine, rest) = act.split_at(cut);
-                act = rest;
-                st.awake = !mine.is_empty();
-                if st.awake {
-                    awake_mask |= 1 << s;
-                }
-                chunks[s] = Some(PlanChunk {
-                    active: mine,
-                    out_rr: split_prefix(&mut orr, if is_vc { 0 } else { n * np }),
-                    in_rr_vc: split_prefix(&mut irr, if is_vc { n * np } else { 0 }),
-                    sw_alloc: split_prefix(&mut swa, if is_vc { n } else { 0 }),
-                    route_cache: split_prefix(&mut rc, n * np * px.max_vcs),
-                    st,
-                });
-            }
-            // Every per-node array must be consumed exactly: leftovers mean
-            // some nodes belong to no shard (their state would silently
-            // never be planned).
-            debug_assert!(act.is_empty(), "{} active node(s) unassigned", act.len());
-            debug_assert!(orr.is_empty() && irr.is_empty() && swa.is_empty());
-            debug_assert!(rc.is_empty(), "route-cache tail unassigned");
-        }
-        debug_assert_ne!(awake_mask, 0, "step() skips the phases when idle");
-        let run = |c: &mut PlanChunk<'_>| {
-            if is_vc {
-                plan_vc_shard(&px, c);
-            } else {
-                plan_wormhole_shard(&px, c);
-            }
-        };
-        match pool {
-            // A lone awake shard needs no epoch: run it inline on the
-            // caller. (Which thread plans a shard never affects results.)
-            Some(p) if awake_mask.count_ones() > 1 => {
-                p.run_parts_masked(&mut chunks[..k], !awake_mask, |_, slot| {
-                    run(slot.as_mut().expect("chunk built for every shard"));
-                })
-            }
-            _ => {
-                for (s, slot) in chunks.iter_mut().enumerate().take(k) {
-                    if awake_mask & (1 << s) != 0 {
-                        run(slot.as_mut().expect("chunk built for every shard"));
-                    }
-                }
-            }
-        }
-        awake_mask
-    }
-
-    /// Phase B: commits every shard's planned transfers (in parallel when
-    /// pooled). Shard-local mutations apply in place; effects that land in
-    /// another shard (downstream pushes, upstream credit returns) are
-    /// staged into per-destination outbox buckets for
-    /// [`Network::exchange_mail`], and global-queue effects (pipeline
-    /// transit, ejections) are staged per shard for
-    /// [`Network::drain_shards`].
-    ///
-    /// `awake_mask` is [`Network::plan_phase`]'s return value: only awake
-    /// shards can hold transfers, so sleeping shards are masked out of the
-    /// epoch (and a lone awake shard commits inline on the caller).
-    fn commit_phase(&mut self, awake_mask: u32) {
-        let Network {
-            cfg,
-            ports,
-            routers,
-            out_links,
-            upstream,
-            occupancy,
-            traversals,
+        let mut c = PlanState {
+            out_rr,
+            in_rr_vc,
+            sw_alloc,
             route_cache,
-            on_active,
-            max_vcs,
-            cycle,
-            shard_map,
-            shards,
-            pool,
-            ..
-        } = self;
-        let cx = CommitShared {
-            cfg,
-            np: ports.len(),
-            max_vcs: *max_vcs,
-            out_links,
-            upstream,
-            shard_map,
-            cycle: *cycle,
+            scratch,
+            transfers,
+            tel,
         };
-        let np = cx.np;
-        let k = shards.len();
-        if k == 1 {
-            // Serial fast path mirroring `plan_phase`.
-            let mut c = CommitChunk {
-                routers,
-                occupancy,
-                traversals,
-                route_cache,
-                on_active,
-                st: &mut shards[0],
-            };
-            commit_shard(&cx, &mut c);
-            return;
-        }
-        let mut chunks: [Option<CommitChunk>; MAX_SHARDS] = std::array::from_fn(|_| None);
-        {
-            let mut rts: &mut [Router] = routers;
-            let mut occ: &mut [u32] = occupancy;
-            let mut trv: &mut [u64] = traversals;
-            let mut rc: &mut [Option<(usize, u8)>] = route_cache;
-            let mut ona: &mut [bool] = on_active;
-            for (s, st) in shards.iter_mut().enumerate() {
-                let n = st.n_nodes;
-                debug_assert!(
-                    st.awake || st.transfers.is_empty(),
-                    "sleeping shard {s} planned a transfer"
-                );
-                chunks[s] = Some(CommitChunk {
-                    routers: split_prefix(&mut rts, n),
-                    occupancy: split_prefix(&mut occ, n),
-                    traversals: split_prefix(&mut trv, n * np),
-                    route_cache: split_prefix(&mut rc, n * np * cx.max_vcs),
-                    on_active: split_prefix(&mut ona, n),
-                    st,
-                });
-            }
-            // Mirror of the plan-phase check: a leftover band here would be
-            // a shard of routers that never commits.
-            debug_assert!(rts.is_empty(), "{} router(s) unassigned", rts.len());
-            debug_assert!(occ.is_empty() && trv.is_empty() && ona.is_empty());
-            debug_assert!(rc.is_empty(), "route-cache tail unassigned");
-        }
-        match pool {
-            Some(p) if awake_mask.count_ones() > 1 => {
-                p.run_parts_masked(&mut chunks[..k], !awake_mask, |_, slot| {
-                    commit_shard(&cx, slot.as_mut().expect("chunk built for every shard"));
-                })
-            }
-            _ => {
-                for (s, slot) in chunks.iter_mut().enumerate().take(k) {
-                    if awake_mask & (1 << s) != 0 {
-                        commit_shard(&cx, slot.as_mut().expect("chunk built for every shard"));
-                    }
-                }
-            }
+        if cfg.is_vc_router() {
+            plan_vc(&px, active, &mut c);
+        } else {
+            plan_wormhole(&px, active, &mut c);
         }
     }
 
-    /// First drain pass: swaps every non-empty outbox bucket into the
-    /// matching destination inbox slot — an `O(k²)` pointer exchange that
-    /// moves no mail and allocates nothing (both sides were sized to the
-    /// same cross-band link bound at build time). Returns the **inbox
-    /// mask**: bit `d` set iff shard `d` received mail this cycle.
-    fn exchange_mail(&mut self) -> u32 {
-        let k = self.shards.len();
-        if k == 1 {
-            return 0;
-        }
-        let mut inbox_mask = 0u32;
-        for s in 0..k {
-            for d in 0..k {
-                if s == d || self.shards[s].outbox[d].is_empty() {
-                    debug_assert!(s != d || self.shards[s].outbox[d].is_empty());
-                    continue;
-                }
-                let (src, dst) = shard_pair(&mut self.shards, s, d);
-                debug_assert!(
-                    dst.inbox[s].is_empty(),
-                    "inbox slot {s}->{d} not drained last cycle"
-                );
-                std::mem::swap(&mut src.outbox[d], &mut dst.inbox[s]);
-                inbox_mask |= 1 << d;
-            }
-        }
-        inbox_mask
-    }
-
-    /// Second drain pass: each destination shard applies its own inbox —
-    /// slots in ascending source-shard order, mail within a slot in staged
-    /// (ascending source node) order. Flow control guarantees at most one
-    /// push per destination (node, port, vc) slot and at most one credit
-    /// per upstream output per cycle, so every applied effect lands in
-    /// disjoint state and the application order across destinations cannot
-    /// influence any result — which is what lets the destinations run as a
-    /// masked pool epoch (sleeping and mail-less shards skipped; a lone
-    /// destination applies inline on the caller).
-    fn apply_inboxes(&mut self, inbox_mask: u32) {
-        if inbox_mask == 0 {
-            return;
-        }
-        let Network {
-            cfg,
-            routers,
-            occupancy,
-            on_active,
-            shards,
-            pool,
-            ..
-        } = self;
-        let fifo_depth = cfg.fifo_depth;
-        let k = shards.len();
-        let mut chunks: [Option<ApplyChunk>; MAX_SHARDS] = std::array::from_fn(|_| None);
-        {
-            let mut rts: &mut [Router] = routers;
-            let mut occ: &mut [u32] = occupancy;
-            let mut ona: &mut [bool] = on_active;
-            for (s, st) in shards.iter_mut().enumerate() {
-                let n = st.n_nodes;
-                chunks[s] = Some(ApplyChunk {
-                    routers: split_prefix(&mut rts, n),
-                    occupancy: split_prefix(&mut occ, n),
-                    on_active: split_prefix(&mut ona, n),
-                    st,
-                });
-            }
-            debug_assert!(rts.is_empty() && occ.is_empty() && ona.is_empty());
-        }
-        match pool {
-            Some(p) if inbox_mask.count_ones() > 1 => {
-                p.run_parts_masked(&mut chunks[..k], !inbox_mask, |_, slot| {
-                    apply_inbox(
-                        fifo_depth,
-                        slot.as_mut().expect("chunk built for every shard"),
-                    );
-                })
-            }
-            _ => {
-                for (d, slot) in chunks.iter_mut().enumerate().take(k) {
-                    if inbox_mask & (1 << d) != 0 {
-                        apply_inbox(
-                            fifo_depth,
-                            slot.as_mut().expect("chunk built for every shard"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Applies every shard's staged global effects, in shard order. Shards
-    /// hold ascending node ranges and each staged list is in
-    /// ascending-node plan order, so this serial drain reproduces the
-    /// serial commit order exactly — the canonical (node, port, vc) order
-    /// that makes results byte-identical at any thread count.
-    fn drain_shards(&mut self) {
+    /// Phase B: commits the planned transfers in plan order, which is the
+    /// canonical (node, port, vc) order that fixes the ejection order. At
+    /// most one transfer exists per (node, input port) and per (node,
+    /// output port), and every grant was checked against cycle-start
+    /// space, so applying them one by one reproduces the synchronous
+    /// two-phase update.
+    fn commit(&mut self) {
         let np = self.ports.len();
-        for s in 0..self.shards.len() {
-            // Pipelined traversals and ejections enter the global queues in
-            // shard order; arrival cycles are uniform within a cycle, so the
-            // queues stay sorted by arrival.
-            let mut transit = std::mem::take(&mut self.shards[s].staged_transit);
-            for (arrive, dn, dp, vc, flit) in transit.drain(..) {
-                self.pending_arrivals[(dn * np + dp) * self.max_vcs + vc] += 1;
-                self.in_transit.push_back((arrive, dn, dp, vc, flit));
-            }
-            self.shards[s].staged_transit = transit;
-            let mut ejects = std::mem::take(&mut self.shards[s].staged_eject);
-            for e in ejects.drain(..) {
-                self.in_transit_eject.push_back(e);
-            }
-            self.shards[s].staged_eject = ejects;
+        let stages = self.cfg.pipeline_stages;
+        let transfers = std::mem::take(&mut self.transfers);
+        for t in &transfers {
+            let flit = self.routers[t.node].inputs[t.in_port].vcs[t.in_vc]
+                .pop()
+                .expect("planned transfer has a flit");
+            self.occupancy[t.node] -= 1;
+            self.route_cache[(t.node * np + t.in_port) * self.max_vcs + t.in_vc] = None;
 
-            // Same-cycle ejections, in canonical order.
-            let n_ej = self.shards[s].ejected.len();
-            self.stats.ejected += n_ej as u64;
-            self.in_flight -= n_ej;
-            let mut ej = std::mem::take(&mut self.shards[s].ejected);
-            self.ejected.append(&mut ej);
-            self.shards[s].ejected = ej;
-
-            // Routers activated by in-shard pushes join the worklist (it
-            // re-sorts at the next cycle start).
-            let mut fresh = std::mem::take(&mut self.shards[s].newly_active);
-            if !fresh.is_empty() {
-                self.active.extend_from_slice(&fresh);
-                self.active_dirty = true;
-                fresh.clear();
+            // Path bookkeeping.
+            {
+                let r = &mut self.routers[t.node];
+                if flit.kind.is_head() && !flit.kind.is_tail() {
+                    r.outputs[t.out_port].lock = Some(t.in_port);
+                    r.outputs[t.out_port].vc_owner[t.out_vc] = Some((t.in_port, t.in_vc));
+                    r.inputs[t.in_port].assigned[t.in_vc] = Some((t.out_port, t.out_vc as u8));
+                } else if flit.kind.is_tail() && !flit.kind.is_head() {
+                    r.outputs[t.out_port].lock = None;
+                    r.outputs[t.out_port].vc_owner[t.out_vc] = None;
+                    r.inputs[t.in_port].assigned[t.in_vc] = None;
+                }
+                if r.outputs[t.out_port].counted {
+                    let cdt = &mut r.outputs[t.out_port].credits[t.out_vc];
+                    debug_assert!(*cdt > 0, "send without credit");
+                    *cdt -= 1;
+                }
             }
-            self.shards[s].newly_active = fresh;
+
+            // Credit return to whoever feeds this input (1-cycle latency
+            // falls out of the two-phase update).
+            if let Some((un, uo)) = self.upstream[t.node * np + t.in_port] {
+                let out = &mut self.routers[un].outputs[uo];
+                if out.counted {
+                    out.credits[t.in_vc] += 1;
+                    debug_assert!(out.credits[t.in_vc] as usize <= self.cfg.fifo_depth);
+                }
+            }
+
+            self.traversals[t.node * np + t.out_port] += 1;
+            match self.out_links[t.node * np + t.out_port] {
+                LinkTarget::Router { node: dn, port: dp } => {
+                    if stages == 0 {
+                        self.routers[dn].inputs[dp].vcs[t.out_vc]
+                            .try_push(flit)
+                            .expect("downstream space guaranteed by flow control");
+                        self.occupancy[dn] += 1;
+                        self.mark_active(dn);
+                    } else {
+                        // Extra pipeline stages: the flit becomes visible
+                        // downstream `stages` cycles later than a
+                        // single-cycle hop would make it. Arrival cycles
+                        // are uniform within a cycle, so the queue stays
+                        // sorted by arrival.
+                        self.pending_arrivals[(dn * np + dp) * self.max_vcs + t.out_vc] += 1;
+                        self.in_transit.push_back((
+                            self.cycle + 1 + stages as u64,
+                            dn,
+                            dp,
+                            t.out_vc,
+                            flit,
+                        ));
+                    }
+                }
+                LinkTarget::Endpoint(ep) => {
+                    if stages == 0 {
+                        self.stats.ejected += 1;
+                        self.in_flight -= 1;
+                        self.ejected.push((ep, flit));
+                    } else {
+                        // Baseline ejections are visible in the granting
+                        // step itself, so the pipeline adds exactly
+                        // `stages` here.
+                        self.in_transit_eject
+                            .push_back((self.cycle + stages as u64, ep, flit));
+                    }
+                }
+                LinkTarget::None => unreachable!("transfer into a tied-off link"),
+            }
         }
+        self.transfers = transfers;
+        self.transfers.clear();
     }
 }
 
-/// Idle streak (in cycles) after which [`StepMode::Auto`] starts probing
-/// for skippable spans. Small enough to catch every meaningful dead span,
-/// large enough that a loaded network never pays the checks.
-const AUTO_IDLE_STREAK: u64 = 4;
-
 /// Resolves the requested clock-advance mode: a set config knob wins;
-/// otherwise the `RUCHE_STEP_MODE` environment variable (`cycle`, `event`,
-/// or `auto`); otherwise cycle-accurate.
+/// otherwise the `RUCHE_STEP_MODE` environment variable (`cycle` or
+/// `event`); otherwise cycle-accurate.
 fn resolve_step_mode(knob: Option<StepMode>) -> StepMode {
     if let Some(mode) = knob {
         return mode;
@@ -1430,41 +1040,42 @@ fn resolve_step_mode(knob: Option<StepMode>) -> StepMode {
         .unwrap_or(StepMode::CycleAccurate)
 }
 
-/// Resolves the requested step worker-thread count: a non-zero config knob
-/// wins; otherwise the `RUCHE_STEP_THREADS` environment variable; otherwise
-/// 1 (serial).
-fn resolve_step_threads(knob: usize) -> usize {
-    if knob > 0 {
-        return knob;
+/// A planned link traversal: move the flit at the head of
+/// `(node, in_port, in_vc)` to downstream of `(node, out_port)` on `out_vc`.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    node: usize,
+    in_port: usize,
+    in_vc: usize,
+    out_port: usize,
+    out_vc: usize,
+}
+
+/// Per-router scratch the planners reuse for every node they visit (sized
+/// once to the port count, so planning never allocates).
+#[derive(Debug)]
+struct PlanScratch {
+    /// Request bitmasks: per output (wormhole, bit = input port) or per
+    /// input (VC, bit = output port).
+    req_mask: Vec<u32>,
+    /// VC router: chosen (vc, out_port, out_vc) per input.
+    chosen: Vec<Option<(usize, usize, u8)>>,
+    /// VC router: switch-allocator grants per input.
+    grants: Vec<Option<usize>>,
+}
+
+impl PlanScratch {
+    fn new(np: usize) -> Self {
+        PlanScratch {
+            req_mask: vec![0; np],
+            chosen: vec![None; np],
+            grants: vec![None; np],
+        }
     }
-    std::env::var("RUCHE_STEP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
 }
 
-/// Peels a `len`-element chunk off the front of `*rest`.
-///
-/// Chunking a per-node array into per-shard `&mut` bands this way is what
-/// lets the pool's tasks mutate disjoint state without locks, so the
-/// accounting must be airtight: a `len` beyond the remainder means the
-/// per-shard size arithmetic diverged from the allocation.
-fn split_prefix<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
-    debug_assert!(
-        len <= rest.len(),
-        "shard chunk wants {len} element(s) but only {} remain: per-shard \
-         sizing diverged from the backing allocation",
-        rest.len()
-    );
-    let (head, tail) = std::mem::take(rest).split_at_mut(len);
-    *rest = tail;
-    head
-}
-
-/// Read-only state every shard's plan pass shares. Routers are the
-/// cycle-start snapshot: nothing mutates them until the commit phase, after
-/// the plan barrier.
+/// Read-only state the plan phase shares: the cycle-start snapshot.
+/// Nothing mutates the routers until the commit phase.
 struct PlanShared<'a> {
     cfg: &'a NetworkConfig,
     ports: &'a [Dir],
@@ -1475,125 +1086,33 @@ struct PlanShared<'a> {
     occupancy: &'a [u32],
     fault_plan: Option<&'a RouteTable>,
     max_vcs: usize,
-    /// Whether telemetry is attached (log blocked events into the shard).
-    tel: bool,
 }
 
-/// Mutable state one shard's plan pass owns: its slice of the sorted
-/// worklist, its arbiters, its route-cache band, and its scratch.
-struct PlanChunk<'a> {
-    active: &'a [u32],
+/// Mutable state the plan phase owns: arbiters, route caches, scratch,
+/// the transfer list it fills, and the attached telemetry (if any).
+struct PlanState<'a> {
     out_rr: &'a mut [RoundRobin],
     in_rr_vc: &'a mut [RoundRobin],
     sw_alloc: &'a mut [Wavefront],
     route_cache: &'a mut [Option<(usize, u8)>],
-    st: &'a mut ShardState,
-}
-
-/// Read-only state every shard's commit pass shares.
-struct CommitShared<'a> {
-    cfg: &'a NetworkConfig,
-    np: usize,
-    max_vcs: usize,
-    out_links: &'a [LinkTarget],
-    upstream: &'a [Option<(usize, usize)>],
-    /// For routing cross-band mail to the destination's outbox bucket.
-    shard_map: &'a ShardMap,
-    cycle: u64,
-}
-
-/// Mutable state one shard's commit pass owns: its band of routers and the
-/// per-node arrays parallel to them.
-struct CommitChunk<'a> {
-    routers: &'a mut [Router],
-    occupancy: &'a mut [u32],
-    traversals: &'a mut [u64],
-    route_cache: &'a mut [Option<(usize, u8)>],
-    on_active: &'a mut [bool],
-    st: &'a mut ShardState,
-}
-
-/// Mutable state one destination shard's inbox application owns: its band
-/// of routers, the activity arrays parallel to them, and its own inbox.
-struct ApplyChunk<'a> {
-    routers: &'a mut [Router],
-    occupancy: &'a mut [u32],
-    on_active: &'a mut [bool],
-    st: &'a mut ShardState,
-}
-
-/// Disjoint `&mut` access to two distinct shards (for the mail exchange's
-/// outbox-bucket / inbox-slot swap).
-fn shard_pair(shards: &mut [ShardState], a: usize, b: usize) -> (&mut ShardState, &mut ShardState) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = shards.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = shards.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
-/// Applies one destination shard's inbound mail: inbox slots in ascending
-/// source-shard order, each drained in staged (ascending source node)
-/// order. Pushes land in this band's FIFOs and may re-arm quiescent
-/// routers (the wake-on-credit edge — the node joins `newly_active` and
-/// the shard wakes next cycle); credits top up this band's output
-/// counters. Flow control bounds the mail per (node, port, vc) slot to
-/// one, so all effects are disjoint and order across destinations is
-/// immaterial.
-fn apply_inbox(fifo_depth: usize, c: &mut ApplyChunk<'_>) {
-    let first = c.st.first_node;
-    let ShardState {
-        inbox,
-        newly_active,
-        ..
-    } = &mut *c.st;
-    for slot in inbox.iter_mut() {
-        for mail in slot.drain(..) {
-            match mail {
-                Mail::Push {
-                    node,
-                    port,
-                    vc,
-                    flit,
-                } => {
-                    c.routers[node - first].inputs[port].vcs[vc]
-                        .try_push(flit)
-                        .expect("downstream space guaranteed by flow control");
-                    c.occupancy[node - first] += 1;
-                    if !c.on_active[node - first] {
-                        c.on_active[node - first] = true;
-                        newly_active.push(node as u32);
-                    }
-                }
-                Mail::Credit { node, port, vc } => {
-                    let out = &mut c.routers[node - first].outputs[port];
-                    if out.counted {
-                        out.credits[vc] += 1;
-                        debug_assert!(out.credits[vc] as usize <= fifo_depth);
-                    }
-                }
-            }
-        }
-    }
+    scratch: &'a mut PlanScratch,
+    transfers: &'a mut Vec<Transfer>,
+    tel: Option<&'a mut NetTelemetry>,
 }
 
 /// Route decision for the head of (node, ip, vc), memoized per head in the
-/// shard's route-cache band (`first_node` rebases the slot).
+/// route cache.
 #[inline]
 fn head_route(
     px: &PlanShared<'_>,
     route_cache: &mut [Option<(usize, u8)>],
-    first_node: usize,
     node: usize,
     ip: usize,
     vc: usize,
     f: &Flit,
 ) -> (usize, u8) {
     let np = px.ports.len();
-    let slot = ((node - first_node) * np + ip) * px.max_vcs + vc;
+    let slot = (node * np + ip) * px.max_vcs + vc;
     if let Some(d) = route_cache[slot] {
         return d;
     }
@@ -1629,28 +1148,27 @@ fn head_route(
     d
 }
 
-/// Wormhole plan over one shard: per-output round-robin arbitration
-/// qualified by downstream FIFO space (ready-valid-and). Idle routers are
-/// skipped; all decisions observe cycle-start state (commits happen after
-/// the barrier), so the single pass is equivalent to the synchronous
+/// Wormhole plan: per-output round-robin arbitration qualified by
+/// downstream FIFO space (ready-valid-and). Only `active` routers are
+/// visited; all decisions observe cycle-start state (commits happen after
+/// planning), so the single pass is equivalent to the synchronous
 /// two-phase update.
-fn plan_wormhole_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
+fn plan_wormhole(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
     let np = px.ports.len();
-    let first = c.st.first_node;
-    for &node in c.active {
+    for &node in active {
         let node = node as usize;
         debug_assert!(px.occupancy[node] > 0, "idle router on the worklist");
         // Per-output request masks (bit = input port), from each input
         // head's memoized route decision.
-        c.st.req_mask.fill(0);
+        c.scratch.req_mask.fill(0);
         for ip in 0..np {
             if let Some(f) = px.routers[node].inputs[ip].vcs[0].head().copied() {
-                let (op, _) = head_route(px, c.route_cache, first, node, ip, 0, &f);
-                c.st.req_mask[op] |= 1 << ip;
+                let (op, _) = head_route(px, c.route_cache, node, ip, 0, &f);
+                c.scratch.req_mask[op] |= 1 << ip;
             }
         }
         for op in 0..np {
-            let reqs = c.st.req_mask[op];
+            let reqs = c.scratch.req_mask[op];
             if reqs == 0 {
                 continue;
             }
@@ -1664,7 +1182,7 @@ fn plan_wormhole_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
                 LinkTarget::None => false,
             };
             if !ready {
-                if px.tel {
+                if let Some(t) = c.tel.as_deref_mut() {
                     // The FIFO-space check above and the credit counter
                     // must agree, or NoCredit attribution silently lies.
                     debug_assert!(
@@ -1674,8 +1192,7 @@ fn plan_wormhole_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
                     );
                     for ip in 0..np {
                         if reqs & (1 << ip) != 0 {
-                            c.st.blocked
-                                .push((node as u32, op as u16, 0, BlockCause::NoCredit));
+                            t.record_blocked(node, op, 0, BlockCause::NoCredit);
                         }
                     }
                 }
@@ -1685,9 +1202,9 @@ fn plan_wormhole_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
             let winner = if let Some(owner) = lock {
                 (reqs & (1 << owner) != 0).then_some(owner)
             } else {
-                c.out_rr[(node - first) * np + op].pick_and_grant_mask(reqs)
+                c.out_rr[node * np + op].pick_and_grant_mask(reqs)
             };
-            if px.tel {
+            if let Some(t) = c.tel.as_deref_mut() {
                 // Output usable, but at most one requester proceeds;
                 // when the lock owner is not requesting, all lose.
                 let losers = match winner {
@@ -1696,13 +1213,12 @@ fn plan_wormhole_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
                 };
                 for ip in 0..np {
                     if losers & (1 << ip) != 0 {
-                        c.st.blocked
-                            .push((node as u32, op as u16, 0, BlockCause::LostArbitration));
+                        t.record_blocked(node, op, 0, BlockCause::LostArbitration);
                     }
                 }
             }
             if let Some(ip) = winner {
-                c.st.transfers.push(Transfer {
+                c.transfers.push(Transfer {
                     node,
                     in_port: ip,
                     in_vc: 0,
@@ -1714,21 +1230,20 @@ fn plan_wormhole_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
     }
 }
 
-/// VC-router plan over one shard: ready-then-valid requests (credit-gated),
-/// one VC per input port, wavefront switch allocation. Idle routers are
-/// skipped.
-fn plan_vc_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
+/// VC-router plan: ready-then-valid requests (credit-gated), one VC per
+/// input port, wavefront switch allocation. Only `active` routers are
+/// visited.
+fn plan_vc(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
     let np = px.ports.len();
-    let first = c.st.first_node;
     let mut valid = [false; 8];
     let mut decision = [None::<(usize, u8)>; 8];
-    for &node in c.active {
+    for &node in active {
         let node = node as usize;
         debug_assert!(px.occupancy[node] > 0, "idle router on the worklist");
         // Per-input request masks (bit = output port) for the wavefront
         // allocator.
-        c.st.req_mask.fill(0);
-        c.st.chosen.fill(None);
+        c.scratch.req_mask.fill(0);
+        c.scratch.chosen.fill(None);
         #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
         for ip in 0..np {
             let n_vcs = px.routers[node].inputs[ip].vcs.len();
@@ -1738,7 +1253,7 @@ fn plan_vc_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
                 let Some(f) = px.routers[node].inputs[ip].vcs[v].head().copied() else {
                     continue;
                 };
-                let (op, out_vc) = head_route(px, c.route_cache, first, node, ip, v, &f);
+                let (op, out_vc) = head_route(px, c.route_cache, node, ip, v, &f);
                 // Ready-then-valid: request only with credit in hand and
                 // the output VC free (or owned by this packet).
                 let out = &px.routers[node].outputs[op];
@@ -1750,182 +1265,58 @@ fn plan_vc_shard(px: &PlanShared<'_>, c: &mut PlanChunk<'_>) {
                 if credit_ok && owner_ok {
                     valid[v] = true;
                     decision[v] = Some((op, out_vc));
-                } else if px.tel {
+                } else if let Some(t) = c.tel.as_deref_mut() {
                     let cause = if credit_ok {
                         // Output VC held by another packet: an
                         // arbitration-side loss, not a credit stall.
                         BlockCause::LostArbitration
                     } else {
-                        debug_assert!(
-                            !px.routers[node].outputs[op].has_credit(out_vc as usize),
-                            "NoCredit stall recorded at node {node} port {op} \
-                             vc {out_vc} while the output still holds credit"
-                        );
                         BlockCause::NoCredit
                     };
-                    c.st.blocked.push((node as u32, op as u16, out_vc, cause));
+                    t.record_blocked(node, op, out_vc as usize, cause);
                 }
             }
-            if let Some(v) = c.in_rr_vc[(node - first) * np + ip].pick(&valid[..n_vcs]) {
+            if let Some(v) = c.in_rr_vc[node * np + ip].pick(&valid[..n_vcs]) {
                 let (op, out_vc) = decision[v].expect("valid implies decision");
-                c.st.chosen[ip] = Some((v, op, out_vc));
-                c.st.req_mask[ip] |= 1 << op;
-                if px.tel {
+                c.scratch.chosen[ip] = Some((v, op, out_vc));
+                c.scratch.req_mask[ip] |= 1 << op;
+                if let Some(t) = c.tel.as_deref_mut() {
                     // Sibling VCs that were sendable but lost the
                     // per-input VC pick this cycle.
                     for (v2, &ok) in valid[..n_vcs].iter().enumerate() {
                         if ok && v2 != v {
                             let (op2, ovc2) = decision[v2].expect("valid implies decision");
-                            c.st.blocked.push((
-                                node as u32,
-                                op2 as u16,
-                                ovc2,
-                                BlockCause::LostArbitration,
-                            ));
+                            t.record_blocked(node, op2, ovc2 as usize, BlockCause::LostArbitration);
                         }
                     }
                 }
             }
         }
         {
-            let st = &mut *c.st;
-            c.sw_alloc[node - first].allocate_into(&st.req_mask, &mut st.grants);
+            let s = &mut *c.scratch;
+            c.sw_alloc[node].allocate_into(&s.req_mask, &mut s.grants);
         }
         for ip in 0..np {
-            if let Some(op) = c.st.grants[ip] {
-                let (v, op2, out_vc) = c.st.chosen[ip].expect("granted implies chosen");
+            if let Some(op) = c.scratch.grants[ip] {
+                let (v, op2, out_vc) = c.scratch.chosen[ip].expect("granted implies chosen");
                 debug_assert_eq!(op, op2);
-                c.in_rr_vc[(node - first) * np + ip].grant(v);
-                c.st.transfers.push(Transfer {
+                c.in_rr_vc[node * np + ip].grant(v);
+                c.transfers.push(Transfer {
                     node,
                     in_port: ip,
                     in_vc: v,
                     out_port: op,
                     out_vc: out_vc as usize,
                 });
-            } else if let Some((_, op, out_vc)) = c.st.chosen[ip] {
+            } else if let Some((_, op, out_vc)) = c.scratch.chosen[ip] {
                 // Chosen a VC and raised a request, but the wavefront
                 // allocator granted the output to another input.
-                if px.tel {
-                    c.st.blocked.push((
-                        node as u32,
-                        op as u16,
-                        out_vc,
-                        BlockCause::LostArbitration,
-                    ));
+                if let Some(t) = c.tel.as_deref_mut() {
+                    t.record_blocked(node, op, out_vc as usize, BlockCause::LostArbitration);
                 }
             }
         }
     }
-}
-
-/// Commits one shard's planned transfers. Mutations that stay inside the
-/// shard's node band apply directly; everything else is staged
-/// (per-destination outbox buckets for cross-shard pushes/credits, staged
-/// queues for pipeline transit and ejections) for the two-pass drain and
-/// the coordinator's in-order merge. At most one transfer
-/// exists per (node, input port) and per (node, output port), and upstream
-/// links are injective, so concurrent shard commits touch disjoint state.
-fn commit_shard(cx: &CommitShared<'_>, c: &mut CommitChunk<'_>) {
-    let np = cx.np;
-    let first = c.st.first_node;
-    let last = first + c.st.n_nodes;
-    let stages = cx.cfg.pipeline_stages;
-    let transfers = std::mem::take(&mut c.st.transfers);
-    for t in &transfers {
-        let flit = c.routers[t.node - first].inputs[t.in_port].vcs[t.in_vc]
-            .pop()
-            .expect("planned transfer has a flit");
-        c.occupancy[t.node - first] -= 1;
-        c.route_cache[((t.node - first) * np + t.in_port) * cx.max_vcs + t.in_vc] = None;
-
-        // Path bookkeeping.
-        {
-            let r = &mut c.routers[t.node - first];
-            if flit.kind.is_head() && !flit.kind.is_tail() {
-                r.outputs[t.out_port].lock = Some(t.in_port);
-                r.outputs[t.out_port].vc_owner[t.out_vc] = Some((t.in_port, t.in_vc));
-                r.inputs[t.in_port].assigned[t.in_vc] = Some((t.out_port, t.out_vc as u8));
-            } else if flit.kind.is_tail() && !flit.kind.is_head() {
-                r.outputs[t.out_port].lock = None;
-                r.outputs[t.out_port].vc_owner[t.out_vc] = None;
-                r.inputs[t.in_port].assigned[t.in_vc] = None;
-            }
-            if r.outputs[t.out_port].counted {
-                let cdt = &mut r.outputs[t.out_port].credits[t.out_vc];
-                debug_assert!(*cdt > 0, "send without credit");
-                *cdt -= 1;
-            }
-        }
-
-        // Credit return to whoever feeds this input (1-cycle latency falls
-        // out of the two-phase update). Upstream routers outside the band
-        // get their credit through the mailbox.
-        if let Some((un, uo)) = cx.upstream[t.node * np + t.in_port] {
-            if (first..last).contains(&un) {
-                let out = &mut c.routers[un - first].outputs[uo];
-                if out.counted {
-                    out.credits[t.in_vc] += 1;
-                    debug_assert!(out.credits[t.in_vc] as usize <= cx.cfg.fifo_depth);
-                }
-            } else {
-                c.st.outbox[cx.shard_map.shard_of(un)].push(Mail::Credit {
-                    node: un,
-                    port: uo,
-                    vc: t.in_vc,
-                });
-            }
-        }
-
-        c.traversals[(t.node - first) * np + t.out_port] += 1;
-        match cx.out_links[t.node * np + t.out_port] {
-            LinkTarget::Router { node: dn, port: dp } => {
-                if stages == 0 {
-                    if (first..last).contains(&dn) {
-                        c.routers[dn - first].inputs[dp].vcs[t.out_vc]
-                            .try_push(flit)
-                            .expect("downstream space guaranteed by flow control");
-                        c.occupancy[dn - first] += 1;
-                        if !c.on_active[dn - first] {
-                            c.on_active[dn - first] = true;
-                            c.st.newly_active.push(dn as u32);
-                        }
-                    } else {
-                        c.st.outbox[cx.shard_map.shard_of(dn)].push(Mail::Push {
-                            node: dn,
-                            port: dp,
-                            vc: t.out_vc,
-                            flit,
-                        });
-                    }
-                } else {
-                    // Extra pipeline stages: the flit becomes visible
-                    // downstream `stages` cycles later than a single-cycle
-                    // hop would make it. Staged so the coordinator appends
-                    // to the global queue in canonical order.
-                    c.st.staged_transit.push((
-                        cx.cycle + 1 + stages as u64,
-                        dn,
-                        dp,
-                        t.out_vc,
-                        flit,
-                    ));
-                }
-            }
-            LinkTarget::Endpoint(ep) => {
-                if stages == 0 {
-                    c.st.ejected.push((ep, flit));
-                } else {
-                    // Baseline ejections are visible in the granting step
-                    // itself, so the pipeline adds exactly `stages` here.
-                    c.st.staged_eject.push((cx.cycle + stages as u64, ep, flit));
-                }
-            }
-            LinkTarget::None => unreachable!("transfer into a tied-off link"),
-        }
-    }
-    c.st.transfers = transfers;
-    c.st.transfers.clear();
 }
 
 #[cfg(test)]

@@ -18,18 +18,12 @@
 //! ## Engine independence
 //!
 //! Every counter in here is part of the byte-identity contract: the
-//! numbers must not depend on the step engine's knobs. Under a sharded
-//! step (`step_threads > 1`) the phases log blocked/traversal events into
-//! per-shard buffers that the coordinator replays into this sink in shard
-//! order — exactly the order the serial engine would have recorded — and
-//! a shard that sleeps through a cycle (no buffered flit in its band)
-//! logs nothing, which is precisely what the serial engine records for
-//! those routers. Under the event wheel (`StepMode::EventDriven` /
-//! `Auto`), only provably empty cycles are skipped, so no counter or
-//! occupancy sample is lost: fast-forwarded spans contribute the same
-//! zeros they would have contributed cycle by cycle. `tests/
+//! numbers must not depend on the step mode. Under the event wheel
+//! (`StepMode::EventDriven`), only provably empty cycles are skipped, so
+//! no counter or occupancy sample is lost: fast-forwarded spans contribute
+//! the same zeros they would have contributed cycle by cycle. `tests/
 //! step_mode_determinism.rs` asserts the full telemetry export is
-//! identical across every (step mode × step threads) point.
+//! identical in both step modes.
 //!
 //! Counter semantics are specified in `docs/OBSERVABILITY.md`; the short
 //! version: *traversed* is at most 1 per (link, VC) per cycle, while

@@ -125,7 +125,7 @@ impl DorOrder {
 
 /// How the simulation clock advances between interesting cycles.
 ///
-/// Every mode produces **byte-identical** results — snapshots, ejection
+/// Both modes produce **byte-identical** results — snapshots, ejection
 /// traces, link loads, telemetry exports, and repro artifacts never depend
 /// on the step mode, which is why the knob is excluded from the config's
 /// `Debug` rendering (the sweep-cache key). The modes only trade how much
@@ -136,18 +136,8 @@ impl DorOrder {
 /// * [`EventDriven`](StepMode::EventDriven) lets drivers fast-forward the
 ///   clock across spans in which the network provably does nothing
 ///   (`Network::next_event_cycle`), paying O(1) per span instead of O(span).
-/// * [`Auto`](StepMode::Auto) behaves like `EventDriven` but only starts
-///   probing for skippable spans after a short idle streak, so saturated
-///   runs never pay the quiescence checks.
 ///
-/// The mode composes freely with the `step_threads` knob: a sharded
-/// network tracks per-shard activity, so under the event wheel each
-/// shard's band contributes its own next-event cycle
-/// (`Network::shard_next_event_cycle`) and the global skip horizon is
-/// their minimum, while shards whose band is idle sleep through the
-/// stepped cycles entirely (they are masked out of the worker-pool epochs
-/// and woken by the first cross-band push or credit addressed to them).
-/// Every point of the (mode × threads) grid is asserted byte-identical by
+/// Both modes are asserted byte-identical by
 /// `tests/step_mode_determinism.rs` and benchmarked by `step_bench`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StepMode {
@@ -155,8 +145,6 @@ pub enum StepMode {
     CycleAccurate,
     /// Fast-forward across provably quiescent spans.
     EventDriven,
-    /// `EventDriven` gated behind a deterministic idle-streak heuristic.
-    Auto,
 }
 
 impl StepMode {
@@ -165,7 +153,6 @@ impl StepMode {
         match self {
             StepMode::CycleAccurate => "cycle",
             StepMode::EventDriven => "event",
-            StepMode::Auto => "auto",
         }
     }
 }
@@ -173,13 +160,12 @@ impl StepMode {
 impl std::str::FromStr for StepMode {
     type Err = ParseStepModeError;
 
-    /// Parses the CLI/environment spellings: `cycle` (or `cycle-accurate`),
-    /// `event` (or `event-driven`), and `auto`, case-insensitively.
+    /// Parses the CLI/environment spellings `cycle` (or `cycle-accurate`)
+    /// and `event` (or `event-driven`), case-insensitively.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "cycle" | "cycle-accurate" => Ok(StepMode::CycleAccurate),
             "event" | "event-driven" => Ok(StepMode::EventDriven),
-            "auto" => Ok(StepMode::Auto),
             _ => Err(ParseStepModeError {
                 input: s.to_string(),
             }),
@@ -198,7 +184,7 @@ impl fmt::Display for ParseStepModeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown step mode {:?}; expected cycle, event, or auto",
+            "unknown step mode {:?}; expected cycle or event",
             self.input
         )
     }
@@ -314,30 +300,20 @@ pub struct NetworkConfig {
     /// edges, responses Y-X from them, §4); a response network routed X-Y
     /// needs the extra turns — used by the DOR-order ablation.
     pub edge_bidirectional: bool,
-    /// Worker threads for `Network::step` (0 = serial unless the
-    /// `RUCHE_STEP_THREADS` environment variable overrides it). The grid is
-    /// partitioned into that many contiguous row bands stepped in parallel;
-    /// results are byte-identical at any thread count, so this knob is a
-    /// pure performance trade and is deliberately **excluded** from the
-    /// config's `Debug` rendering (which the sweep cache uses as its key).
-    pub step_threads: usize,
     /// Clock-advance mode for `Network` drivers (`None` = defer to the
     /// `RUCHE_STEP_MODE` environment variable, falling back to
-    /// [`StepMode::CycleAccurate`]). Like [`step_threads`]
-    /// (NetworkConfig::step_threads), this is a pure performance knob —
-    /// results are byte-identical in every mode — and is likewise
+    /// [`StepMode::CycleAccurate`]). This is a pure performance knob —
+    /// results are byte-identical in every mode — so it is deliberately
     /// **excluded** from the `Debug` rendering / sweep-cache key.
     pub step_mode: Option<StepMode>,
 }
 
 impl fmt::Debug for NetworkConfig {
     /// Matches the former derived rendering field-for-field but omits
-    /// [`step_threads`](NetworkConfig::step_threads) and
     /// [`step_mode`](NetworkConfig::step_mode): results are byte-identical
-    /// at any thread count and in any step mode, and `crates/bench` keys
-    /// its result cache on this rendering, so configurations differing only
-    /// in those knobs must share a key (and previously cached entries must
-    /// stay valid).
+    /// in any step mode, and `crates/bench` keys its result cache on this
+    /// rendering, so configurations differing only in the mode must share
+    /// a key (and previously cached entries must stay valid).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetworkConfig")
             .field("dims", &self.dims)
@@ -376,7 +352,6 @@ impl NetworkConfig {
                 edge_memory_ports: false,
                 pipeline_stages: 0,
                 edge_bidirectional: false,
-                step_threads: 0,
                 step_mode: None,
             },
         }
@@ -460,13 +435,6 @@ impl NetworkConfig {
     pub fn with_pipeline_stages(self, stages: u32) -> Self {
         NetworkConfigBuilder::from(self)
             .pipeline_stages(stages)
-            .build_unvalidated()
-    }
-
-    /// Sets the step worker-thread count (builder style).
-    pub fn with_step_threads(self, threads: usize) -> Self {
-        NetworkConfigBuilder::from(self)
-            .step_threads(threads)
             .build_unvalidated()
     }
 
@@ -804,14 +772,6 @@ impl NetworkConfigBuilder {
     /// Implements edge-router crossbar turns for both traffic directions.
     pub fn edge_bidirectional(mut self, on: bool) -> Self {
         self.cfg.edge_bidirectional = on;
-        self
-    }
-
-    /// Sets the worker-thread count for `Network::step` (0 = serial unless
-    /// `RUCHE_STEP_THREADS` overrides it). Purely a performance knob —
-    /// results are byte-identical at any value.
-    pub fn step_threads(mut self, threads: usize) -> Self {
-        self.cfg.step_threads = threads;
         self
     }
 
@@ -1356,18 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn step_threads_knob_reaches_the_field() {
-        let cfg = NetworkConfig::mesh(Dims::new(8, 8));
-        assert_eq!(cfg.step_threads, 0, "default is serial/env-controlled");
-        assert_eq!(cfg.clone().with_step_threads(4).step_threads, 4);
-        let built = NetworkConfig::builder(Dims::new(8, 8), TopologyKind::Mesh)
-            .step_threads(2)
-            .build()
-            .expect("builder config is valid");
-        assert_eq!(built.step_threads, 2);
-    }
-
-    #[test]
     fn step_mode_knob_reaches_the_field() {
         let cfg = NetworkConfig::mesh(Dims::new(8, 8));
         assert_eq!(cfg.step_mode, None, "default defers to the environment");
@@ -1376,10 +1324,10 @@ mod tests {
             Some(StepMode::EventDriven)
         );
         let built = NetworkConfig::builder(Dims::new(8, 8), TopologyKind::Mesh)
-            .step_mode(StepMode::Auto)
+            .step_mode(StepMode::CycleAccurate)
             .build()
             .expect("builder config is valid");
-        assert_eq!(built.step_mode, Some(StepMode::Auto));
+        assert_eq!(built.step_mode, Some(StepMode::CycleAccurate));
     }
 
     #[test]
@@ -1388,34 +1336,31 @@ mod tests {
             ("cycle", StepMode::CycleAccurate),
             ("cycle-accurate", StepMode::CycleAccurate),
             ("event", StepMode::EventDriven),
-            ("Event-Driven", StepMode::EventDriven),
-            (" auto ", StepMode::Auto),
+            (" Event-Driven ", StepMode::EventDriven),
         ] {
             assert_eq!(s.parse::<StepMode>(), Ok(m), "spelling {s:?}");
         }
-        assert!("wheel".parse::<StepMode>().is_err());
-        for m in [
-            StepMode::CycleAccurate,
-            StepMode::EventDriven,
-            StepMode::Auto,
-        ] {
+        for rejected in ["wheel", "auto"] {
+            assert!(
+                rejected.parse::<StepMode>().is_err(),
+                "spelling {rejected:?} must be rejected"
+            );
+        }
+        for m in [StepMode::CycleAccurate, StepMode::EventDriven] {
             assert_eq!(m.name().parse::<StepMode>(), Ok(m), "name round-trips");
         }
     }
 
     #[test]
-    fn debug_rendering_omits_step_threads() {
+    fn debug_rendering_omits_step_mode() {
         // The Debug rendering is the sweep-cache key: it must not move when
-        // only the thread count or step mode changes (results are
-        // byte-identical), and it must keep the exact derived format so
-        // previously written cache entries stay valid.
+        // only the step mode changes (results are byte-identical), and it
+        // must keep the exact derived format so previously written cache
+        // entries stay valid.
         let cfg = NetworkConfig::half_ruche(Dims::new(16, 8), 2, CrossbarScheme::Depopulated);
         let serial = format!("{cfg:?}");
-        let threaded = format!("{:?}", cfg.clone().with_step_threads(4));
-        assert_eq!(serial, threaded);
         let evented = format!("{:?}", cfg.clone().with_step_mode(StepMode::EventDriven));
         assert_eq!(serial, evented);
-        assert!(!serial.contains("step_threads"));
         assert!(!serial.contains("step_mode"));
         assert_eq!(
             serial,

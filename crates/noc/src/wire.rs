@@ -11,11 +11,11 @@
 //!   equal configurations render byte-identically and the rendering can
 //!   serve as a cache key (`ruche_traffic::wire::SweepRequest` builds on
 //!   it).
-//! * **Performance knobs are not identity.** `step_threads` and
-//!   `step_mode` never appear on the wire: results are byte-identical at
-//!   any thread count and in any step mode, so two requests differing only
-//!   in those knobs must be the same request (the same contract the
-//!   `Debug`-based cache key upheld, now enforced structurally).
+//! * **Performance knobs are not identity.** `step_mode` never appears on
+//!   the wire: results are byte-identical in either step mode, so two
+//!   requests differing only in that knob must be the same request (the
+//!   same contract the `Debug`-based cache key upheld, now enforced
+//!   structurally).
 //!
 //! Decoding is lenient where it is safe: optional fields fall back to the
 //! paper's defaults, so a client can POST `{"dims":{"cols":8,"rows":8},
@@ -266,9 +266,9 @@ impl TopologyKind {
 impl NetworkConfig {
     /// The canonical wire form: every field, fixed order, version first.
     ///
-    /// `step_threads` and `step_mode` are deliberately absent — they are
-    /// pure performance knobs whose settings never change results, so they
-    /// must not split cache keys (see the module docs).
+    /// `step_mode` is deliberately absent — it is a pure performance knob
+    /// whose setting never changes results, so it must not split cache
+    /// keys (see the module docs).
     pub fn to_wire(&self) -> Json {
         Json::Obj(vec![
             ("config_version".into(), Json::U64(CONFIG_WIRE_VERSION)),
@@ -500,16 +500,14 @@ mod tests {
     fn step_knobs_never_reach_the_wire() {
         let dims = Dims::new(8, 8);
         let plain = NetworkConfig::mesh(dims);
-        let tuned = NetworkConfig::mesh(dims)
-            .with_step_threads(8)
-            .with_step_mode(crate::topology::StepMode::EventDriven);
+        let tuned =
+            NetworkConfig::mesh(dims).with_step_mode(crate::topology::StepMode::EventDriven);
         assert_eq!(
             plain.to_wire().render(),
             tuned.to_wire().render(),
             "performance knobs must not split wire identity"
         );
         let back = NetworkConfig::from_wire(&tuned.to_wire()).unwrap();
-        assert_eq!(back.step_threads, 0);
         assert_eq!(back.step_mode, None);
     }
 

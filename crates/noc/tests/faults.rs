@@ -4,8 +4,7 @@
 //! destination within the hop bound or reporting `Unreachable`, never
 //! livelocking.
 
-// Whole-network property sweeps are minutes-per-case at interpreter speed;
-// the Miri job covers the pool/shard concurrency subset instead.
+// Whole-network property sweeps are minutes-per-case at interpreter speed.
 #![cfg(not(miri))]
 
 use proptest::prelude::*;

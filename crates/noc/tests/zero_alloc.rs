@@ -5,6 +5,11 @@
 //! integration-test file). After a warmup that grows all reusable scratch
 //! buffers to their high-water marks, further cycles — including active
 //! traffic — must allocate nothing.
+//!
+//! The step engine is serial: all simulator work runs on the thread that
+//! calls `step`. The tally is therefore per thread, so allocations made by
+//! the test harness or by tests running concurrently on other threads can
+//! never leak into a measured region.
 
 // Counting host allocations is meaningless (and unsupported for a
 // `#[global_allocator]`) under Miri's interpreted heap.
@@ -15,47 +20,23 @@ use rand::{Rng, SeedableRng};
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Bumped at the start of every measured region. The counter is
-/// process-global, and libtest spawns an OS thread per test even while the
-/// [`SERIAL`] lock keeps their bodies from overlapping — and every freshly
-/// spawned thread allocates at startup (its name `Box<str>`, the
-/// stack-overflow handler's guard page bookkeeping) before any user code
-/// runs. A thread whose *first* allocation lands inside the current region
-/// is therefore harness spawn noise, not the simulator, and is excluded
-/// until the next region begins. Pool workers are spawned in
-/// `Network::new` during warmup, so their startup allocations stamp them
-/// *before* the region starts and they stay fully counted.
-static MEASURE_GEN: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    /// Generation in force when this thread first allocated; 0 = never.
-    static BORN_GEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Allocations (including reallocations) made by this thread. `const`
+    /// initialised and destructor-free, so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_alloc() {
-    let gen = MEASURE_GEN.load(Ordering::Relaxed);
-    // `try_with` fails only during thread teardown; count those — a
-    // steady-state sim thread is not tearing down.
-    let born = BORN_GEN
-        .try_with(|b| {
-            if b.get() == 0 {
-                b.set(gen);
-            }
-            b.get()
-        })
-        .unwrap_or(0);
-    if born < gen {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    // `try_with` fails only during thread teardown, which no measured
+    // region overlaps.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
-// SAFETY: pure pass-through to the `System` allocator plus a relaxed
+// SAFETY: pure pass-through to the `System` allocator plus a thread-local
 // counter bump; every `GlobalAlloc` contract obligation is met by `System`
 // itself.
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -83,33 +64,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Marks the start of a measured region: threads spawned from here on
-/// (i.e. by the test harness, since the network under test is already
-/// built) are excluded from the count. See [`MEASURE_GEN`].
-fn begin_measured_region() {
-    MEASURE_GEN.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The counter above is process-global, so two tests measuring
-/// concurrently would see each other's allocations (the harness runs
-/// tests on parallel threads by default). Every test in this binary holds
-/// this lock across its measured region.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    // A poisoned lock just means another test failed; the counter itself
-    // is still fine to use.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drives `net` under random traffic; flits are pre-generated so the
 /// measured region contains only `enqueue` + `step`.
 fn assert_steady_state_alloc_free(cfg: NetworkConfig, label: &str) {
-    let _guard = serial();
     let dims = cfg.dims;
     let mut net = Network::new(cfg).unwrap();
     let mut rng = SmallRng::seed_from_u64(11);
@@ -143,7 +105,6 @@ fn assert_steady_state_alloc_free(cfg: NetworkConfig, label: &str) {
     // Measured region: every remaining step, under load and through the
     // drain. Enqueues stay outside the count — source queues are unbounded
     // by design and may still grow.
-    begin_measured_region();
     let mut in_step = 0u64;
     for batch in batches {
         for &(ep, f) in &batch {
@@ -183,31 +144,6 @@ fn vc_step_is_allocation_free_in_steady_state() {
     assert_steady_state_alloc_free(NetworkConfig::torus(Dims::new(8, 8)), "torus");
 }
 
-// The sharded variants measure the whole process (the counting allocator is
-// global), so worker-thread allocations would be caught too. Pool spawn and
-// per-shard scratch growth land in the warmup.
-
-#[test]
-fn sharded_wormhole_step_is_allocation_free_in_steady_state() {
-    let dims = Dims::new(8, 8);
-    assert_steady_state_alloc_free(
-        NetworkConfig::mesh(dims).with_step_threads(2),
-        "sharded mesh",
-    );
-    assert_steady_state_alloc_free(
-        NetworkConfig::full_ruche(dims, 2, CrossbarScheme::Depopulated).with_step_threads(4),
-        "sharded ruche",
-    );
-}
-
-#[test]
-fn sharded_vc_step_is_allocation_free_in_steady_state() {
-    assert_steady_state_alloc_free(
-        NetworkConfig::torus(Dims::new(8, 8)).with_step_threads(2),
-        "sharded torus",
-    );
-}
-
 /// The event wheel adds nothing to the steady-state allocation story:
 /// driving a bursty workload through `step` + `fast_forward` — bursts,
 /// drains, and skipped quiescent spans alike — allocates nothing once the
@@ -217,33 +153,10 @@ fn event_mode_fast_forward_is_allocation_free_in_steady_state() {
     assert_event_drive_alloc_free(NetworkConfig::mesh(Dims::new(8, 8)), "event mesh");
 }
 
-/// Event mode composed with sharding exercises every new drain path at
-/// once — masked plan/commit epochs, the outbox/inbox pointer exchange,
-/// the parallel inbox application, and wake-on-credit re-arms of slept
-/// shards — and none of it may allocate once warm. The exchange relies on
-/// the build-time per-(src, dst) mail capacities being exact; an
-/// undercount shows up here as a bucket realloc.
-#[test]
-fn sharded_event_mode_is_allocation_free_in_steady_state() {
-    assert_event_drive_alloc_free(
-        NetworkConfig::mesh(Dims::new(8, 8))
-            .with_step_mode(StepMode::EventDriven)
-            .with_step_threads(4),
-        "sharded event mesh",
-    );
-    assert_event_drive_alloc_free(
-        NetworkConfig::torus(Dims::new(8, 8))
-            .with_step_mode(StepMode::EventDriven)
-            .with_step_threads(2),
-        "sharded event torus",
-    );
-}
-
 /// Drives `cfg` through the bursty event-wheel workload: bursts, drains,
 /// and fast-forwarded quiescent spans, all measured after a ten-burst
 /// warmup.
 fn assert_event_drive_alloc_free(cfg: NetworkConfig, label: &str) {
-    let _guard = serial();
     let dims = cfg.dims;
     let cfg = cfg.with_step_mode(StepMode::EventDriven);
     let mut net = Network::new(cfg).unwrap();
@@ -272,7 +185,6 @@ fn assert_event_drive_alloc_free(cfg: NetworkConfig, label: &str) {
     let mut next = 0usize;
     let mut measured = 0u64;
     let mut iters = 0u64;
-    let mut region_open = false;
     while net.cycle() < horizon || !net.is_quiescent() {
         while schedule.get(next).is_some_and(|&(c, ..)| c == net.cycle()) {
             let (_, ep, f) = schedule[next];
@@ -280,10 +192,6 @@ fn assert_event_drive_alloc_free(cfg: NetworkConfig, label: &str) {
             next += 1;
         }
         let measuring = net.cycle() >= warm_until;
-        if measuring && !region_open {
-            begin_measured_region();
-            region_open = true;
-        }
         let before = allocations();
         net.step();
         let wake = schedule.get(next).map_or(horizon, |&(c, ..)| c);

@@ -22,6 +22,7 @@
 //! assert!(breakdown.total() < 3_200.0); // ~2991 µm² in the paper's Table 2
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

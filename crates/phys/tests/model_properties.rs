@@ -1,8 +1,7 @@
 //! Property-based tests of the physical models: monotonicity, scaling
 //! laws, and internal consistency across randomized configurations.
 
-// Randomized sweeps are too slow at interpreter speed; Miri runs the
-// concurrency subset (noc pool/shard), not the numeric property suites.
+// Randomized sweeps are too slow at interpreter speed.
 #![cfg(not(miri))]
 
 use proptest::prelude::*;

@@ -18,7 +18,7 @@
 //!    the same sweep concurrently cost one simulation.
 //!
 //! What remains is simulated on the existing [`SweepRunner`] worker pool
-//! (honoring `step_threads` / `StepMode`), with results published to
+//! (honoring `StepMode`), with results published to
 //! waiters and streamed to the batch's own connection **in job order**,
 //! incrementally — job `i`'s line is written the moment jobs `0..=i` have
 //! all resolved, not when the whole batch finishes.
@@ -103,7 +103,6 @@ enum Slot {
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
-    step_threads: usize,
     step_mode: Option<StepMode>,
     store: Option<Arc<ResultStore>>,
     inflight: Mutex<HashMap<String, Arc<InFlight>>>,
@@ -112,24 +111,15 @@ pub struct Engine {
 
 impl Engine {
     /// An engine whose simulations run on `threads` pool workers, with no
-    /// result store and serial stepping. Builder methods refine it.
+    /// result store and the default step mode. Builder methods refine it.
     pub fn new(threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
-            step_threads: 0,
             step_mode: None,
             store: None,
             inflight: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
         }
-    }
-
-    /// Shards each simulation's `Network::step` across `n` threads
-    /// (0 = serial). Pure performance knob: results and cache keys are
-    /// unaffected.
-    pub fn with_step_threads(mut self, n: usize) -> Self {
-        self.step_threads = n;
-        self
     }
 
     /// Selects the clock-advance engine for simulated jobs. Pure
@@ -250,9 +240,6 @@ impl Engine {
             flights: owned.iter().map(|(_, _, f)| f.clone()).collect(),
         };
         let mut runner = SweepRunner::uncached(self.threads);
-        if self.step_threads > 0 {
-            runner = runner.with_step_threads(self.step_threads);
-        }
         if let Some(mode) = self.step_mode {
             runner = runner.with_step_mode(mode);
         }

@@ -24,6 +24,8 @@
 //! why daemon output is byte-identical to offline output
 //! (`docs/SERVICE.md` walks through the guarantees).
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod daemon;
 pub mod engine;

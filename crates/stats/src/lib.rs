@@ -5,6 +5,7 @@
 //! statistics accumulators, quantile samples, geometric means, and plain
 //! text table / CSV rendering.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -16,6 +16,7 @@
 //! derived trait impls here are markers only; the JSON codec is the real
 //! wire format.)
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -21,6 +21,7 @@
 //! the run degrades gracefully — dead tiles fall silent and partitioned
 //! pairs are never offered load.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -93,29 +93,6 @@ impl Testbench {
         }
     }
 
-    /// A testbench with the paper's defaults at the given rate.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Testbench::builder(pattern, rate)` and `build()`, which validate eagerly"
-    )]
-    pub fn new(pattern: Pattern, injection_rate: f64) -> Self {
-        Self::builder(pattern, injection_rate).tb
-    }
-
-    /// Shorter phases for smoke tests and quick sweeps (builder style).
-    #[deprecated(since = "0.6.0", note = "use `TestbenchBuilder::quick`")]
-    pub fn quick(mut self) -> Self {
-        (self.warmup, self.measure, self.drain) = Self::QUICK_WINDOWS;
-        self
-    }
-
-    /// Overrides the RNG seed (builder style).
-    #[deprecated(since = "0.6.0", note = "use `TestbenchBuilder::seed`")]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Checks every invariant [`TestbenchBuilder::build`] enforces:
     /// `injection_rate` finite and in `(0, 1]`, non-degenerate measure and
     /// drain windows, and at least one flit per packet. [`run`] calls this
@@ -736,6 +713,50 @@ mod tests {
             .unwrap();
         assert_ne!(format!("{tb:?}"), format!("{faulted:?}"));
         assert!(format!("{faulted:?}").contains("faults"), "{faulted:?}");
+    }
+
+    #[test]
+    fn builder_rejects_invalid_parameters() {
+        for rate in [0.0, -0.1, 1.5, f64::NAN] {
+            assert!(
+                matches!(
+                    Testbench::builder(Pattern::UniformRandom, rate).build(),
+                    Err(TrafficError::InvalidInjectionRate(_))
+                ),
+                "rate {rate} must be rejected"
+            );
+        }
+        let base = || Testbench::builder(Pattern::UniformRandom, 0.1);
+        assert!(matches!(
+            base().measure(0).build(),
+            Err(TrafficError::EmptyMeasureWindow)
+        ));
+        assert!(matches!(
+            base().drain(0).build(),
+            Err(TrafficError::EmptyDrainWindow)
+        ));
+        assert!(matches!(
+            base().packet_len(0).build(),
+            Err(TrafficError::EmptyPacket)
+        ));
+        // `run` re-validates, so a hand-edited testbench cannot slip through.
+        let mut tb = quick(Pattern::UniformRandom, 0.1);
+        tb.injection_rate = 0.0;
+        assert!(matches!(
+            run(&NetworkConfig::mesh(Dims::new(4, 4)), &tb),
+            Err(TrafficError::InvalidInjectionRate(_))
+        ));
+    }
+
+    #[test]
+    fn builder_reopens_an_existing_testbench() {
+        let base = quick(Pattern::UniformRandom, 0.1);
+        let tweaked = TestbenchBuilder::from(base.clone())
+            .seed(99)
+            .build()
+            .unwrap();
+        assert_eq!(tweaked.warmup, base.warmup);
+        assert_eq!(tweaked.seed, 99);
     }
 
     #[test]

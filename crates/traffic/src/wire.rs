@@ -131,9 +131,9 @@ impl Testbench {
 ///
 /// Two requests are the same job exactly when their [`cache_key`]
 /// (SweepRequest::cache_key) strings are equal. By construction the key
-/// excludes `step_threads` and `step_mode` (the config wire codec never
-/// emits them), so results computed by any engine at any thread count are
-/// interchangeable — the same contract the old `Debug`-based key upheld.
+/// excludes `step_mode` (the config wire codec never emits it), so results
+/// computed in either step mode are interchangeable — the same contract
+/// the old `Debug`-based key upheld.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
     /// The network under test.
@@ -379,13 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn request_key_is_engine_and_threading_independent() {
+    fn request_key_is_step_mode_independent() {
         let dims = Dims::new(8, 8);
         let base = SweepRequest::new(NetworkConfig::mesh(dims), quick(0.1));
         let tuned = SweepRequest::new(
-            NetworkConfig::mesh(dims)
-                .with_step_threads(4)
-                .with_step_mode(StepMode::EventDriven),
+            NetworkConfig::mesh(dims).with_step_mode(StepMode::EventDriven),
             quick(0.1),
         );
         assert_eq!(base.cache_key(), tuned.cache_key());

@@ -2,8 +2,7 @@
 //! bounds, permutation patterns are involutions/bijections, and the
 //! testbench conserves packets at any load.
 
-// Full testbench property sweeps are too slow at interpreter speed; Miri
-// runs the concurrency subset (noc pool/shard), not these suites.
+// Full testbench property sweeps are too slow at interpreter speed.
 #![cfg(not(miri))]
 
 use proptest::prelude::*;

@@ -42,6 +42,7 @@
 //! for debug builds of the simulator to verify each [`Network`]
 //! construction automatically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,4 +1,7 @@
 //! Facade crate: see README.md. Re-exports the whole workspace API.
+
+#![forbid(unsafe_code)]
+
 pub use ruche_bench as bench;
 pub use ruche_manycore as manycore;
 pub use ruche_noc as noc;

@@ -1,7 +1,7 @@
 //! Option parsing for the `serve`, `submit`, and `eval` subcommands.
 //!
 //! The same flat `--flag value` style as the simulator CLI. Engine
-//! flags (`--threads`, `--step-threads`, `--step-mode`, `--no-cache`)
+//! flags (`--threads`, `--step-mode`, `--no-cache`)
 //! are shared between `serve` and `eval` so the offline path can be
 //! configured identically to the daemon it is diffed against.
 
@@ -17,10 +17,10 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7641";
 pub fn usage() -> i32 {
     eprintln!(
         "usage: ruche-sim serve  [--bind ADDR | --unix PATH] [--threads N] \
-         [--step-threads N] [--step-mode cycle|event|auto] [--no-cache]\n\
+         [--step-mode cycle|event] [--no-cache]\n\
          \x20      ruche-sim submit [--bind ADDR | --unix PATH] [--file PATH] [--shutdown]\n\
-         \x20      ruche-sim eval   [--file PATH] [--threads N] [--step-threads N] \
-         [--step-mode cycle|event|auto] [--no-cache]\n\
+         \x20      ruche-sim eval   [--file PATH] [--threads N] \
+         [--step-mode cycle|event] [--no-cache]\n\
          \n\
          submit/eval read protocol lines from --file (or stdin): a JSON object\n\
          per line, one whole-file JSON object, or a bare array of sweep requests\n\
@@ -34,9 +34,6 @@ pub fn usage() -> i32 {
 pub struct EngineOpts {
     /// Sweep pool width (`--threads`, default: all available cores).
     pub threads: usize,
-    /// `Network::step` worker threads per simulation (`--step-threads`,
-    /// 0 = leave the runner's default).
-    pub step_threads: usize,
     /// Stepping mode override (`--step-mode`).
     pub step_mode: Option<StepMode>,
     /// Whether to back the engine with the on-disk result store
@@ -48,7 +45,6 @@ impl Default for EngineOpts {
     fn default() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            step_threads: 0,
             step_mode: None,
             cache: true,
         }
@@ -65,7 +61,6 @@ impl EngineOpts {
     ) -> Result<bool, String> {
         match flag {
             "--threads" => self.threads = parse_count(value(it, flag)?, flag)?.max(1),
-            "--step-threads" => self.step_threads = parse_count(value(it, flag)?, flag)?,
             "--step-mode" => self.step_mode = Some(parse_step_mode(value(it, flag)?)?),
             "--no-cache" => self.cache = false,
             _ => return Ok(false),
@@ -205,9 +200,8 @@ fn parse_step_mode(s: &str) -> Result<StepMode, String> {
     match s {
         "cycle" => Ok(StepMode::CycleAccurate),
         "event" => Ok(StepMode::EventDriven),
-        "auto" => Ok(StepMode::Auto),
         other => Err(format!(
-            "unknown step mode {other:?}; expected cycle, event, or auto"
+            "unknown step mode {other:?}; expected cycle or event"
         )),
     }
 }
@@ -227,15 +221,12 @@ mod tests {
             "0.0.0.0:9000",
             "--threads",
             "3",
-            "--step-threads",
-            "2",
             "--step-mode",
             "event",
             "--no-cache",
         ]))
         .expect("parses");
         assert_eq!(o.engine.threads, 3);
-        assert_eq!(o.engine.step_threads, 2);
         assert_eq!(o.engine.step_mode, Some(StepMode::EventDriven));
         assert!(!o.engine.cache);
     }
@@ -245,7 +236,6 @@ mod tests {
         let o = ServeOpts::try_parse(&[]).expect("parses");
         assert!(o.engine.cache);
         assert!(o.engine.threads >= 1);
-        assert_eq!(o.engine.step_threads, 0);
         assert_eq!(o.engine.step_mode, None);
     }
 
@@ -261,6 +251,20 @@ mod tests {
             .unwrap_err()
             .contains("--frobnicate"));
         assert!(EvalOpts::try_parse(&args(&["--bind", "x"])).is_err());
+    }
+
+    #[test]
+    fn removed_engine_options_are_flag_errors() {
+        // `--step-threads` and the `auto` step mode no longer exist: both
+        // come back as the usual structured flag error, never a panic.
+        let serve = ServeOpts::try_parse(&args(&["--step-threads", "2"])).unwrap_err();
+        assert!(serve.contains("--step-threads"), "{serve}");
+        let eval = EvalOpts::try_parse(&args(&["--step-threads", "2"])).unwrap_err();
+        assert!(eval.contains("--step-threads"), "{eval}");
+        let serve = ServeOpts::try_parse(&args(&["--step-mode", "auto"])).unwrap_err();
+        assert!(serve.contains("auto"), "{serve}");
+        let eval = EvalOpts::try_parse(&args(&["--step-mode", "auto"])).unwrap_err();
+        assert!(eval.contains("auto"), "{eval}");
     }
 
     #[test]
