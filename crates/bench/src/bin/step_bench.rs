@@ -1,18 +1,20 @@
 //! `step_bench`: single-run stepping microbenchmark.
 //!
-//! **Step-mode comparison** (`results/BENCH_step_mode.json`) — measures
-//! cycle-accurate vs event-driven stepping on sparse workloads (bursty and
-//! steady trickle), where the event wheel fast-forwards the quiescent spans
-//! between bursts. `docs/EVENTS.md` explains how to read it.
+//! **Clock-advance comparison** (`results/BENCH_step_mode.json`) —
+//! measures two drivers of the same network on sparse workloads (bursty and
+//! steady trickle): `cycle` calls `Network::step` every cycle, and `event`
+//! follows each step with `Network::fast_forward`, which skips the
+//! quiescent spans between bursts. `docs/EVENTS.md` explains how to read
+//! it.
 //!
 //! Every point is measured as **warmup + median-of-3**: one untimed run
 //! primes caches, then three timed runs report their median rate. Traffic
 //! is pre-generated from a fixed seed, and the per-run **digest**
 //! (injected, ejected, final cycle, total link traversals) is asserted
-//! identical across both step modes and every repeat before anything is
+//! identical across both drivers and every repeat before anything is
 //! written — a divergence aborts the bench with a non-zero exit. The
 //! timing numbers vary with the machine, the simulation results never do.
-//! Every emitted record carries its `step_mode`.
+//! Every emitted record names its driver in `step_mode`.
 //!
 //! Pass `--quick` to shorten the bursty workload and drop the Ruche row.
 
@@ -29,10 +31,11 @@ use std::time::Instant;
 
 /// Traffic seed (fixed: the digest must be reproducible).
 const SEED: u64 = 17;
-/// Compared step modes; the first is the speedup baseline.
-const MODES: [StepMode; 2] = [StepMode::CycleAccurate, StepMode::EventDriven];
+/// Compared drivers as (name, fast-forward after each step); the first is
+/// the speedup baseline.
+const DRIVERS: [(&str, bool); 2] = [("cycle", false), ("event", true)];
 
-/// Simulation results that must not depend on the step mode.
+/// Simulation results that must not depend on the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Digest {
     injected: u64,
@@ -77,18 +80,17 @@ fn warm_median3(mut run: impl FnMut() -> (Digest, f64)) -> (Digest, f64) {
     (digest, rates[1])
 }
 
-/// One timed mode run: drives `cfg` in `mode` through the sparse
-/// `schedule` of (cycle, source, flit) injections,
-/// fast-forwarding to the next injection whenever the network quiesces (a
-/// no-op in cycle mode), until at least `horizon` cycles have elapsed and
-/// the network drained.
+/// One timed driver run: steps `cfg` through the sparse `schedule` of
+/// (cycle, source, flit) injections until at least `horizon` cycles have
+/// elapsed and the network drained. With `fast_forward` set, every step is
+/// followed by a jump to the next injection whenever the network quiesces.
 fn timed_mode_run(
     cfg: &NetworkConfig,
     schedule: &[(u64, Coord, Flit)],
     horizon: u64,
-    mode: StepMode,
+    fast_forward: bool,
 ) -> (Digest, f64) {
-    let mut net = Network::new(cfg.clone().with_step_mode(mode)).expect("valid bench config");
+    let mut net = Network::new(cfg.clone()).expect("valid bench config");
     let start = Instant::now();
     let mut next = 0usize;
     let mut iters = 0u64;
@@ -103,8 +105,10 @@ fn timed_mode_run(
             "fast-forward skipped past a scheduled injection"
         );
         net.step();
-        let wake = schedule.get(next).map_or(horizon, |&(c, ..)| c);
-        net.fast_forward(wake.min(horizon));
+        if fast_forward {
+            let wake = schedule.get(next).map_or(horizon, |&(c, ..)| c);
+            net.fast_forward(wake.min(horizon));
+        }
         iters += 1;
         assert!(iters < 2 * horizon + 200_000, "bench traffic deadlocked");
     }
@@ -135,7 +139,7 @@ fn gen_bursty(dims: Dims, bursts: u64, period: u64, size: usize) -> (Vec<(u64, C
 /// Pre-generates steady uniform-random single-flit traffic at per-tile
 /// `rate` as a sparse schedule. Load stops at 60% of the horizon so the
 /// tail measures drain behaviour; the drain runs past the horizon
-/// identically in both modes.
+/// identically under both drivers.
 fn gen_steady(dims: Dims, cycles: u64, rate: f64) -> (Vec<(u64, Coord, Flit)>, u64) {
     let mut rng = SmallRng::seed_from_u64(SEED);
     let mut schedule = Vec::new();
@@ -152,7 +156,7 @@ fn gen_steady(dims: Dims, cycles: u64, rate: f64) -> (Vec<(u64, Coord, Flit)>, u
     (schedule, cycles)
 }
 
-/// One workload row of the step-mode comparison.
+/// One workload row of the clock-advance comparison.
 struct ModeRow {
     cfg: NetworkConfig,
     dims: Dims,
@@ -161,9 +165,9 @@ struct ModeRow {
     horizon: u64,
 }
 
-/// The step-mode comparison workloads: bursty sparse traffic (quiescent
-/// between bursts — the regime the event wheel exists for) and a steady
-/// trickle (never quiescent — the regime where event mode must merely not
+/// The clock-advance comparison workloads: bursty sparse traffic
+/// (quiescent between bursts — the regime fast-forwarding exists for) and
+/// a steady trickle (never quiescent — the regime where it must merely not
 /// lose).
 fn mode_rows(quick: bool) -> Vec<ModeRow> {
     let big = Dims::new(64, 64);
@@ -199,7 +203,7 @@ fn mode_rows(quick: bool) -> Vec<ModeRow> {
     rows
 }
 
-/// Runs the step-mode comparison and writes `BENCH_step_mode.json`.
+/// Runs the clock-advance comparison and writes `BENCH_step_mode.json`.
 fn bench_modes(opts: &Opts) {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -223,31 +227,29 @@ fn bench_modes(opts: &Opts) {
         );
         let mut baseline: Option<(Digest, f64)> = None;
         let mut results = Vec::new();
-        for mode in MODES {
+        for (name, fast_forward) in DRIVERS {
             let (digest, cps) =
-                warm_median3(|| timed_mode_run(&row.cfg, &row.schedule, row.horizon, mode));
+                warm_median3(|| timed_mode_run(&row.cfg, &row.schedule, row.horizon, fast_forward));
             match &baseline {
                 None => baseline = Some((digest, cps)),
                 Some((d0, _)) => assert_eq!(
                     *d0,
                     digest,
-                    "{} {} {}: digest diverged in {} mode",
+                    "{} {} {}: digest diverged under the {name} driver",
                     row.dims,
                     row.cfg.label(),
                     row.workload,
-                    mode.name()
                 ),
             }
             let speedup = cps / baseline.expect("set above").1;
             println!(
-                "   mode={}: {} cycles/sec, speedup {}",
-                mode.name(),
+                "   mode={name}: {} cycles/sec, speedup {}",
                 fmt_f(cps, 0),
                 fmt_f(speedup, 2),
             );
-            results.push((mode, cps, speedup));
+            results.push((name, cps, speedup));
         }
-        let (digest, _) = baseline.expect("at least one mode");
+        let (digest, _) = baseline.expect("at least one driver");
         if !first {
             let _ = writeln!(json, ",");
         }
@@ -261,11 +263,10 @@ fn bench_modes(opts: &Opts) {
         let _ = writeln!(json, "      \"injection_rate\": {},", fmt_f(rate, 5));
         let _ = writeln!(json, "      \"digest\": {},", digest.json());
         let _ = writeln!(json, "      \"modes\": [");
-        for (i, (mode, cps, speedup)) in results.iter().enumerate() {
+        for (i, (name, cps, speedup)) in results.iter().enumerate() {
             let _ = writeln!(
                 json,
-                "        {{\"step_mode\": \"{}\", \"cycles_per_sec\": {}, \"speedup\": {}}}{}",
-                mode.name(),
+                "        {{\"step_mode\": \"{name}\", \"cycles_per_sec\": {}, \"speedup\": {}}}{}",
                 fmt_f(*cps, 1),
                 fmt_f(*speedup, 3),
                 if i + 1 < results.len() { "," } else { "" }
@@ -281,6 +282,6 @@ fn bench_modes(opts: &Opts) {
 
 fn main() {
     let opts = Opts::from_env();
-    banner("step_bench", "Network::step step-mode comparison");
+    banner("step_bench", "Network::step clock-advance comparison");
     bench_modes(&opts);
 }

@@ -1,7 +1,5 @@
 //! Harness options.
 
-use ruche_noc::topology::StepMode;
-
 /// Options shared by all figure harnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opts {
@@ -27,13 +25,19 @@ pub struct Opts {
     /// suite, writing `results/BENCH_degradation.json` (`--degradation` or
     /// `RUCHE_DEGRADATION=1`).
     pub degradation: bool,
-    /// Clock-advance mode applied to every simulated network
-    /// (`--step-mode cycle|event`, `--step-mode=..`, or
-    /// `RUCHE_STEP_MODE=..`; `None` lets each network resolve the
-    /// environment itself). Results are byte-identical in either mode —
-    /// event mode only fast-forwards provably-empty spans.
-    pub step_mode: Option<StepMode>,
 }
+
+/// The on/off flags [`Opts::parse`] accepts. `--bench` is what `cargo
+/// bench` passes to `harness = false` targets; it selects nothing.
+const SWITCHES: [&str; 7] = [
+    "--quick",
+    "--no-cache",
+    "--verify-only",
+    "--lint-only",
+    "--telemetry",
+    "--degradation",
+    "--bench",
+];
 
 /// The machine's available parallelism (1 if it can't be queried).
 pub fn default_threads() -> usize {
@@ -43,38 +47,45 @@ pub fn default_threads() -> usize {
 }
 
 impl Opts {
-    /// Parses from the process arguments and environment.
+    /// Parses from the process arguments and environment. An unknown flag
+    /// or a malformed value prints the offending argument and exits with
+    /// status 2 rather than starting a sweep the caller did not ask for.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::parse(&args, |k| std::env::var(k).ok())
+        Self::parse(&args, |k| std::env::var(k).ok()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
-    /// Parses from explicit arguments and an environment lookup (the
-    /// testable core of [`Self::from_env`]).
-    pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Self {
+    /// Parses from explicit arguments (`args[0]` is the program name) and
+    /// an environment lookup (the testable core of [`Self::from_env`]).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first unknown flag, or the `--threads` value
+    /// that is not a positive integer.
+    pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let mut threads = None;
+        let mut it = args.iter().skip(1);
+        while let Some(a) = it.next() {
+            let value = match a.strip_prefix("--threads=") {
+                Some(v) => v,
+                None if a == "--threads" => it.next().ok_or("--threads needs a value")?,
+                None if SWITCHES.contains(&a.as_str()) => continue,
+                None => return Err(format!("unknown flag {a:?}")),
+            };
+            let n = value.parse().ok().filter(|&n: &usize| n > 0);
+            threads = Some(n.ok_or(format!("--threads needs a positive integer, got {value:?}"))?);
+        }
         let flag = |name: &str, var: &str| {
             args.iter().any(|a| a == name) || env(var).as_deref() == Some("1")
         };
-        let mut threads = None;
-        let mut step_mode = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if a == "--threads" {
-                threads = it.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--threads=") {
-                threads = v.parse().ok();
-            } else if a == "--step-mode" {
-                step_mode = it.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--step-mode=") {
-                step_mode = v.parse().ok();
-            }
-        }
         let threads = threads
             .or_else(|| env("RUCHE_THREADS").and_then(|v| v.parse().ok()))
             .filter(|&n| n > 0)
             .unwrap_or_else(default_threads);
-        let step_mode = step_mode.or_else(|| env("RUCHE_STEP_MODE").and_then(|v| v.parse().ok()));
-        Opts {
+        Ok(Opts {
             quick: flag("--quick", "RUCHE_QUICK"),
             threads,
             no_cache: flag("--no-cache", "RUCHE_NO_CACHE"),
@@ -82,8 +93,7 @@ impl Opts {
             lint_only: flag("--lint-only", "RUCHE_LINT_ONLY"),
             telemetry: flag("--telemetry", "RUCHE_TELEMETRY"),
             degradation: flag("--degradation", "RUCHE_DEGRADATION"),
-            step_mode,
-        }
+        })
     }
 
     /// Full-sweep options.
@@ -96,7 +106,6 @@ impl Opts {
             lint_only: false,
             telemetry: false,
             degradation: false,
-            step_mode: None,
         }
     }
 
@@ -119,12 +128,6 @@ impl Opts {
         self.no_cache = true;
         self
     }
-
-    /// Overrides the clock-advance mode applied to simulated networks.
-    pub fn with_step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = Some(mode);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -136,6 +139,10 @@ mod tests {
     }
 
     const NO_ENV: fn(&str) -> Option<String> = |_| None;
+
+    fn ok(args: &[String], env: impl Fn(&str) -> Option<String>) -> Opts {
+        Opts::parse(args, env).expect("valid arguments")
+    }
 
     #[test]
     fn constructors() {
@@ -149,9 +156,9 @@ mod tests {
 
     #[test]
     fn parses_threads_flag_both_forms() {
-        let o = Opts::parse(&strs(&["bench", "--threads", "7"]), NO_ENV);
+        let o = ok(&strs(&["bench", "--threads", "7"]), NO_ENV);
         assert_eq!(o.threads, 7);
-        let o = Opts::parse(&strs(&["bench", "--threads=5", "--quick"]), NO_ENV);
+        let o = ok(&strs(&["bench", "--threads=5", "--quick"]), NO_ENV);
         assert_eq!(o.threads, 5);
         assert!(o.quick);
     }
@@ -159,93 +166,89 @@ mod tests {
     #[test]
     fn parses_threads_env_and_flag_precedence() {
         let env = |k: &str| (k == "RUCHE_THREADS").then(|| "3".to_string());
-        assert_eq!(Opts::parse(&strs(&["bench"]), env).threads, 3);
+        assert_eq!(ok(&strs(&["bench"]), env).threads, 3);
         // An explicit flag beats the environment.
-        assert_eq!(
-            Opts::parse(&strs(&["bench", "--threads=2"]), env).threads,
-            2
-        );
+        assert_eq!(ok(&strs(&["bench", "--threads=2"]), env).threads, 2);
     }
 
     #[test]
     fn rejects_zero_and_garbage_thread_counts() {
-        let o = Opts::parse(&strs(&["bench", "--threads", "0"]), NO_ENV);
-        assert!(o.threads >= 1);
-        let o = Opts::parse(&strs(&["bench", "--threads", "lots"]), NO_ENV);
-        assert_eq!(o.threads, default_threads());
+        for bad in [
+            &["bench", "--threads", "0"][..],
+            &["bench", "--threads=abc"],
+        ] {
+            let err = Opts::parse(&strs(bad), NO_ENV).unwrap_err();
+            assert!(err.contains("--threads"), "{err}");
+        }
+        let err = Opts::parse(&strs(&["bench", "--threads", "abc"]), NO_ENV).unwrap_err();
+        assert_eq!(err, "--threads needs a positive integer, got \"abc\"");
+        let err = Opts::parse(&strs(&["bench", "--threads"]), NO_ENV).unwrap_err();
+        assert_eq!(err, "--threads needs a value");
+        // A garbage environment value still falls back to the default.
+        let env = |k: &str| (k == "RUCHE_THREADS").then(|| "lots".to_string());
+        assert_eq!(ok(&strs(&["bench"]), env).threads, default_threads());
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        // A typo must not silently start the 20-minute full sweep, and a
+        // removed flag must not be accepted as a no-op.
+        for (flag, value) in [("--quik", None), ("--step-threads", Some("2"))] {
+            let mut args = vec!["repro", flag];
+            args.extend(value);
+            let err = Opts::parse(&strs(&args), NO_ENV).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag:?}"));
+        }
+    }
+
+    #[test]
+    fn accepts_the_cargo_bench_argument() {
+        // `cargo bench` passes `--bench` to `harness = false` targets.
+        let o = ok(&strs(&["fig6", "--bench"]), NO_ENV);
+        assert_eq!(o, Opts::parse(&strs(&["fig6"]), NO_ENV).unwrap());
     }
 
     #[test]
     fn parses_no_cache() {
-        assert!(Opts::parse(&strs(&["bench", "--no-cache"]), NO_ENV).no_cache);
+        assert!(ok(&strs(&["bench", "--no-cache"]), NO_ENV).no_cache);
         let env = |k: &str| (k == "RUCHE_NO_CACHE").then(|| "1".to_string());
-        assert!(Opts::parse(&strs(&["bench"]), env).no_cache);
-        assert!(!Opts::parse(&strs(&["bench"]), NO_ENV).no_cache);
+        assert!(ok(&strs(&["bench"]), env).no_cache);
+        assert!(!ok(&strs(&["bench"]), NO_ENV).no_cache);
     }
 
     #[test]
     fn parses_telemetry() {
-        assert!(Opts::parse(&strs(&["bench", "--telemetry"]), NO_ENV).telemetry);
+        assert!(ok(&strs(&["bench", "--telemetry"]), NO_ENV).telemetry);
         let env = |k: &str| (k == "RUCHE_TELEMETRY").then(|| "1".to_string());
-        assert!(Opts::parse(&strs(&["bench"]), env).telemetry);
-        assert!(!Opts::parse(&strs(&["bench"]), NO_ENV).telemetry);
+        assert!(ok(&strs(&["bench"]), env).telemetry);
+        assert!(!ok(&strs(&["bench"]), NO_ENV).telemetry);
         assert!(!Opts::full().telemetry);
     }
 
     #[test]
     fn parses_degradation() {
-        assert!(Opts::parse(&strs(&["bench", "--degradation"]), NO_ENV).degradation);
+        assert!(ok(&strs(&["bench", "--degradation"]), NO_ENV).degradation);
         let env = |k: &str| (k == "RUCHE_DEGRADATION").then(|| "1".to_string());
-        assert!(Opts::parse(&strs(&["bench"]), env).degradation);
-        assert!(!Opts::parse(&strs(&["bench"]), NO_ENV).degradation);
+        assert!(ok(&strs(&["bench"]), env).degradation);
+        assert!(!ok(&strs(&["bench"]), NO_ENV).degradation);
         assert!(!Opts::full().degradation);
     }
 
     #[test]
-    fn parses_step_mode_flag_env_and_default() {
-        assert_eq!(Opts::parse(&strs(&["bench"]), NO_ENV).step_mode, None);
-        let o = Opts::parse(&strs(&["bench", "--step-mode", "event"]), NO_ENV);
-        assert_eq!(o.step_mode, Some(StepMode::EventDriven));
-        let o = Opts::parse(&strs(&["bench", "--step-mode=cycle"]), NO_ENV);
-        assert_eq!(o.step_mode, Some(StepMode::CycleAccurate));
-        let env = |k: &str| (k == "RUCHE_STEP_MODE").then(|| "cycle".to_string());
-        assert_eq!(
-            Opts::parse(&strs(&["bench"]), env).step_mode,
-            Some(StepMode::CycleAccurate)
-        );
-        // An explicit flag beats the environment.
-        assert_eq!(
-            Opts::parse(&strs(&["bench", "--step-mode=event"]), env).step_mode,
-            Some(StepMode::EventDriven)
-        );
-        // Garbage spellings fall back to unset rather than aborting.
-        for garbage in ["wheel", "auto"] {
-            assert_eq!(
-                Opts::parse(&strs(&["bench", "--step-mode", garbage]), NO_ENV).step_mode,
-                None
-            );
-        }
-        assert_eq!(
-            Opts::full().with_step_mode(StepMode::EventDriven).step_mode,
-            Some(StepMode::EventDriven)
-        );
-    }
-
-    #[test]
     fn parses_lint_only() {
-        assert!(Opts::parse(&strs(&["bench", "--lint-only"]), NO_ENV).lint_only);
+        assert!(ok(&strs(&["bench", "--lint-only"]), NO_ENV).lint_only);
         let env = |k: &str| (k == "RUCHE_LINT_ONLY").then(|| "1".to_string());
-        assert!(Opts::parse(&strs(&["bench"]), env).lint_only);
-        assert!(!Opts::parse(&strs(&["bench"]), NO_ENV).lint_only);
+        assert!(ok(&strs(&["bench"]), env).lint_only);
+        assert!(!ok(&strs(&["bench"]), NO_ENV).lint_only);
         assert!(!Opts::full().lint_only);
     }
 
     #[test]
     fn parses_verify_only() {
-        assert!(Opts::parse(&strs(&["bench", "--verify-only"]), NO_ENV).verify_only);
+        assert!(ok(&strs(&["bench", "--verify-only"]), NO_ENV).verify_only);
         let env = |k: &str| (k == "RUCHE_VERIFY_ONLY").then(|| "1".to_string());
-        assert!(Opts::parse(&strs(&["bench"]), env).verify_only);
-        assert!(!Opts::parse(&strs(&["bench"]), NO_ENV).verify_only);
+        assert!(ok(&strs(&["bench"]), env).verify_only);
+        assert!(!ok(&strs(&["bench"]), NO_ENV).verify_only);
         assert!(!Opts::full().verify_only);
     }
 }

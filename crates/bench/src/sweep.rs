@@ -73,8 +73,6 @@ impl SweepJob {
     /// any client that can write JSON — unlike the `Debug`-based
     /// `SweepJob::key` it replaced (deprecated in 0.7.0, removed the
     /// release after, per the one-release deprecation policy).
-    /// `step_mode` never reaches the key, so results from either step
-    /// mode are interchangeable.
     pub fn cache_key(&self) -> String {
         format!("{MODEL_VERSION}|{}", self.request().cache_key())
     }
@@ -265,7 +263,6 @@ impl SweepCache {
 #[derive(Debug)]
 pub struct SweepRunner {
     threads: usize,
-    step_mode: Option<StepMode>,
     store: Option<Arc<ResultStore>>,
     /// Jobs served from the result store across this runner's lifetime.
     pub cache_hits: usize,
@@ -274,7 +271,7 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner honoring `opts` (thread count, cache enable, step mode).
+    /// A runner honoring `opts` (thread count, cache enable).
     pub fn new(opts: Opts) -> Self {
         let store = (!opts.no_cache).then(|| {
             let store = ResultStore::open_default();
@@ -283,7 +280,6 @@ impl SweepRunner {
         });
         SweepRunner {
             threads: opts.threads,
-            step_mode: opts.step_mode,
             store,
             cache_hits: 0,
             simulated: 0,
@@ -294,7 +290,6 @@ impl SweepRunner {
     pub fn uncached(threads: usize) -> Self {
         SweepRunner {
             threads,
-            step_mode: None,
             store: None,
             cache_hits: 0,
             simulated: 0,
@@ -313,23 +308,9 @@ impl SweepRunner {
         self.store.as_ref()
     }
 
-    /// Applies a clock-advance mode to every simulated job (tests;
-    /// [`SweepRunner::new`] derives this from its opts). Results — and
-    /// hence cache entries — are byte-identical in either mode.
-    pub fn with_step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = Some(mode);
-        self
-    }
-
     /// The worker-pool width this runner uses.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The clock-advance mode applied to simulated jobs (`None` lets each
-    /// network resolve `RUCHE_STEP_MODE` itself).
-    pub fn step_mode(&self) -> Option<StepMode> {
-        self.step_mode
     }
 
     /// Runs every job, in parallel, returning `results[i]` for `jobs[i]`.
@@ -377,7 +358,7 @@ impl SweepRunner {
         }
 
         if !misses.is_empty() {
-            let computed = run_pool(jobs, &misses, self.threads, self.step_mode, &sink);
+            let computed = run_pool(jobs, &misses, self.threads, &sink);
             for (&i, res) in misses.iter().zip(computed) {
                 if let Some(store) = &self.store {
                     if !jobs[i].per_tile {
@@ -410,14 +391,11 @@ fn scrub_per_tile(res: &TbResult) -> TbResult {
 
 /// Runs `jobs[misses[..]]` on a scoped worker pool; returns results in
 /// `misses` order. Workers pull the next job index from a shared atomic
-/// cursor, so scheduling is dynamic but the output order is fixed. A set
-/// `step_mode` selects the clock-advance mode (both modes are
-/// byte-identical, so it only changes where wall-clock time goes).
+/// cursor, so scheduling is dynamic but the output order is fixed.
 fn run_pool(
     jobs: &[SweepJob],
     misses: &[usize],
     threads: usize,
-    step_mode: Option<StepMode>,
     sink: &(impl Fn(usize, &TbResult) + Sync),
 ) -> Vec<TbResult> {
     let workers = threads.min(misses.len()).max(1);
@@ -429,11 +407,7 @@ fn run_pool(
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&i) = misses.get(k) else { break };
                 let job = &jobs[i];
-                let mut cfg = job.cfg.clone();
-                if let Some(mode) = step_mode {
-                    cfg = cfg.with_step_mode(mode);
-                }
-                let res = ruche_traffic::run(&cfg, &job.tb)
+                let res = ruche_traffic::run(&job.cfg, &job.tb)
                     .unwrap_or_else(|e| panic!("sweep job {i} cannot run: {e}"));
                 sink(i, &res);
                 *slots[k].lock().expect("slot lock") = Some(res);
@@ -506,38 +480,6 @@ mod tests {
         assert!(cache
             .get(&SweepJob::new(NetworkConfig::torus(dims), quick_tb(0.05)).cache_key())
             .is_none());
-    }
-
-    #[test]
-    fn step_mode_does_not_change_the_cache_key() {
-        let dims = Dims::new(8, 8);
-        let tb = quick_tb(0.1);
-        let cycle = SweepJob::new(NetworkConfig::mesh(dims), tb.clone());
-        let event = SweepJob::new(
-            NetworkConfig::mesh(dims).with_step_mode(StepMode::EventDriven),
-            tb,
-        );
-        assert_eq!(
-            cycle.cache_key(),
-            event.cache_key(),
-            "event-driven and cycle-accurate runs are byte-identical, so \
-             they must share a cache entry"
-        );
-        // And therefore a result computed in one mode is a hit for a run
-        // in the other.
-        let mut cache = SweepCache::default();
-        let tb4 = quick_tb(0.05);
-        let a = SweepJob::new(NetworkConfig::mesh(Dims::new(4, 4)), tb4.clone());
-        let b = SweepJob::new(
-            NetworkConfig::mesh(Dims::new(4, 4)).with_step_mode(StepMode::EventDriven),
-            tb4,
-        );
-        let res = ruche_traffic::run(&a.cfg, &a.tb).unwrap();
-        cache.insert(a.cache_key(), res);
-        assert!(
-            cache.get(&b.cache_key()).is_some(),
-            "cache hits must be step-mode-independent"
-        );
     }
 
     #[test]

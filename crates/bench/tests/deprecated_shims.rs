@@ -22,19 +22,3 @@ fn cache_key_is_the_versioned_canonical_request_rendering() {
     assert_eq!(job.cache_key(), expect);
     assert!(job.cache_key().starts_with("v1|{\"key_version\":1,"));
 }
-
-#[test]
-fn cache_key_ignores_engine_knobs() {
-    // The knob the removed shim also never leaked: results computed in
-    // either step mode share one store entry.
-    let tb = Testbench::builder(Pattern::UniformRandom, 0.1)
-        .quick()
-        .build()
-        .unwrap();
-    let base = SweepJob::new(NetworkConfig::mesh(Dims::new(8, 8)), tb.clone());
-    let evented = SweepJob::new(
-        NetworkConfig::mesh(Dims::new(8, 8)).with_step_mode(StepMode::EventDriven),
-        tb,
-    );
-    assert_eq!(base.cache_key(), evented.cache_key());
-}

@@ -260,11 +260,6 @@ pub struct Network {
     /// VC-router wavefront switch allocators, one per node. Empty for
     /// wormhole networks.
     sw_alloc: Vec<Wavefront>,
-    /// Resolved clock-advance mode (config knob, else `RUCHE_STEP_MODE`,
-    /// else cycle-accurate). Only consulted by span-advancing drivers
-    /// ([`Network::run`], [`Network::fast_forward`]); `step` itself is
-    /// mode-independent.
-    step_mode: StepMode,
     /// Grants planned this cycle, in ascending node order (reusable
     /// scratch, sized for one transfer per output port).
     transfers: Vec<Transfer>,
@@ -446,7 +441,6 @@ impl Network {
             out_rr,
             in_rr_vc,
             sw_alloc,
-            step_mode: resolve_step_mode(cfg.step_mode),
             transfers: Vec::with_capacity(n_nodes * np),
             scratch: PlanScratch::new(np),
             telemetry: None,
@@ -462,13 +456,11 @@ impl Network {
         1
     }
 
-    /// Resolved clock-advance mode: the `step_mode` config knob when set,
-    /// else the `RUCHE_STEP_MODE` environment override, else
-    /// [`StepMode::CycleAccurate`]. Purely a performance trade —
-    /// [`Network::step`] is mode-independent and results are byte-identical
-    /// in every mode (see `docs/EVENTS.md`).
+    /// The clock-advance mode, always [`StepMode::EventDriven`]:
+    /// [`Network::run`] and [`Network::fast_forward`] skip provably idle
+    /// spans, byte-identically to stepping them (see `docs/EVENTS.md`).
     pub fn step_mode(&self) -> StepMode {
-        self.step_mode
+        StepMode::EventDriven
     }
 
     /// Whether the network provably does nothing until new traffic is
@@ -514,13 +506,8 @@ impl Network {
     /// stepping it could not move a flit, so counters, watchdog state,
     /// snapshots, and telemetry (idle occupancy samples and empty
     /// injection/ejection bins are recorded in bulk) end up byte-identical
-    /// to stepping the span cycle by cycle. In
-    /// [`StepMode::CycleAccurate`] this never skips and returns the
-    /// current cycle unchanged.
+    /// to stepping the span cycle by cycle.
     pub fn fast_forward(&mut self, target: u64) -> u64 {
-        if self.step_mode == StepMode::CycleAccurate {
-            return self.cycle;
-        }
         let to = match self.next_event_cycle() {
             Some(t) => t.min(target),
             None => target,
@@ -869,10 +856,10 @@ impl Network {
         &self.ejected
     }
 
-    /// Runs `n` cycles, discarding ejections (useful for draining). In the
-    /// event-driven modes, provably-empty spans inside the window are
-    /// fast-forwarded instead of stepped ([`Network::fast_forward`]); the
-    /// end state is byte-identical either way.
+    /// Runs `n` cycles, discarding ejections (useful for draining).
+    /// Provably-empty spans inside the window are fast-forwarded instead of
+    /// stepped ([`Network::fast_forward`]); the end state is byte-identical
+    /// to stepping every cycle.
     pub fn run(&mut self, n: u64) {
         let end = self.cycle + n;
         while self.cycle < end {
@@ -1025,19 +1012,6 @@ impl Network {
         self.transfers = transfers;
         self.transfers.clear();
     }
-}
-
-/// Resolves the requested clock-advance mode: a set config knob wins;
-/// otherwise the `RUCHE_STEP_MODE` environment variable (`cycle` or
-/// `event`); otherwise cycle-accurate.
-fn resolve_step_mode(knob: Option<StepMode>) -> StepMode {
-    if let Some(mode) = knob {
-        return mode;
-    }
-    std::env::var("RUCHE_STEP_MODE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(StepMode::CycleAccurate)
 }
 
 /// A planned link traversal: move the flit at the head of

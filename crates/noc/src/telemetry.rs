@@ -18,12 +18,12 @@
 //! ## Engine independence
 //!
 //! Every counter in here is part of the byte-identity contract: the
-//! numbers must not depend on the step mode. Under the event wheel
-//! (`StepMode::EventDriven`), only provably empty cycles are skipped, so
-//! no counter or occupancy sample is lost: fast-forwarded spans contribute
-//! the same zeros they would have contributed cycle by cycle. `tests/
+//! numbers must not depend on how the clock advances. `Network::run` and
+//! `Network::fast_forward` skip only provably empty cycles, so no counter
+//! or occupancy sample is lost: fast-forwarded spans contribute the same
+//! zeros they would have contributed cycle by cycle. `tests/
 //! step_mode_determinism.rs` asserts the full telemetry export is
-//! identical in both step modes.
+//! identical to stepping every cycle.
 //!
 //! Counter semantics are specified in `docs/OBSERVABILITY.md`; the short
 //! version: *traversed* is at most 1 per (link, VC) per cycle, while

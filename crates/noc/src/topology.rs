@@ -125,72 +125,30 @@ impl DorOrder {
 
 /// How the simulation clock advances between interesting cycles.
 ///
-/// Both modes produce **byte-identical** results — snapshots, ejection
-/// traces, link loads, telemetry exports, and repro artifacts never depend
-/// on the step mode, which is why the knob is excluded from the config's
-/// `Debug` rendering (the sweep-cache key). The modes only trade how much
-/// wall-clock time provably-empty cycles cost (see `docs/EVENTS.md`):
+/// There is one production path: [`Network::run`](crate::sim::Network::run)
+/// and [`Network::fast_forward`](crate::sim::Network::fast_forward) jump
+/// the clock across spans in which the network provably does nothing
+/// (`Network::next_event_cycle`), paying O(1) per span instead of O(span).
+/// The skip is exact, so results are byte-identical to calling
+/// `Network::step` every cycle, which stays as the test oracle
+/// (`tests/step_mode_determinism.rs`; see `docs/EVENTS.md`).
 ///
-/// * [`CycleAccurate`](StepMode::CycleAccurate) executes every cycle,
-///   including quiescent ones — the reference engine.
-/// * [`EventDriven`](StepMode::EventDriven) lets drivers fast-forward the
-///   clock across spans in which the network provably does nothing
-///   (`Network::next_event_cycle`), paying O(1) per span instead of O(span).
-///
-/// Both modes are asserted byte-identical by
-/// `tests/step_mode_determinism.rs` and benchmarked by `step_bench`.
+/// The type survives only as the value of `Network::step_mode()`, which
+/// the benchmark harness records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StepMode {
-    /// Execute every cycle (the reference engine; the default).
-    CycleAccurate,
     /// Fast-forward across provably quiescent spans.
     EventDriven,
 }
 
 impl StepMode {
-    /// The spelling accepted by `RUCHE_STEP_MODE` / `--step-mode`.
+    /// The mode's short name, as benchmark records print it.
     pub fn name(self) -> &'static str {
         match self {
-            StepMode::CycleAccurate => "cycle",
             StepMode::EventDriven => "event",
         }
     }
 }
-
-impl std::str::FromStr for StepMode {
-    type Err = ParseStepModeError;
-
-    /// Parses the CLI/environment spellings `cycle` (or `cycle-accurate`)
-    /// and `event` (or `event-driven`), case-insensitively.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "cycle" | "cycle-accurate" => Ok(StepMode::CycleAccurate),
-            "event" | "event-driven" => Ok(StepMode::EventDriven),
-            _ => Err(ParseStepModeError {
-                input: s.to_string(),
-            }),
-        }
-    }
-}
-
-/// Error from parsing a [`StepMode`] spelling.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseStepModeError {
-    /// The rejected input.
-    pub input: String,
-}
-
-impl fmt::Display for ParseStepModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown step mode {:?}; expected cycle or event",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseStepModeError {}
 
 /// Errors produced by [`NetworkConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,7 +227,7 @@ impl std::error::Error for ConfigError {}
 /// cfg.validate()?;
 /// # Ok::<(), ruche_noc::topology::ConfigError>(())
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkConfig {
     /// Array dimensions (columns × rows).
     pub dims: Dims,
@@ -300,33 +258,6 @@ pub struct NetworkConfig {
     /// edges, responses Y-X from them, §4); a response network routed X-Y
     /// needs the extra turns — used by the DOR-order ablation.
     pub edge_bidirectional: bool,
-    /// Clock-advance mode for `Network` drivers (`None` = defer to the
-    /// `RUCHE_STEP_MODE` environment variable, falling back to
-    /// [`StepMode::CycleAccurate`]). This is a pure performance knob —
-    /// results are byte-identical in every mode — so it is deliberately
-    /// **excluded** from the `Debug` rendering / sweep-cache key.
-    pub step_mode: Option<StepMode>,
-}
-
-impl fmt::Debug for NetworkConfig {
-    /// Matches the former derived rendering field-for-field but omits
-    /// [`step_mode`](NetworkConfig::step_mode): results are byte-identical
-    /// in any step mode, and `crates/bench` keys its result cache on this
-    /// rendering, so configurations differing only in the mode must share
-    /// a key (and previously cached entries must stay valid).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetworkConfig")
-            .field("dims", &self.dims)
-            .field("topology", &self.topology)
-            .field("scheme", &self.scheme)
-            .field("dor", &self.dor)
-            .field("fifo_depth", &self.fifo_depth)
-            .field("channel_width_bits", &self.channel_width_bits)
-            .field("edge_memory_ports", &self.edge_memory_ports)
-            .field("pipeline_stages", &self.pipeline_stages)
-            .field("edge_bidirectional", &self.edge_bidirectional)
-            .finish()
-    }
 }
 
 impl NetworkConfig {
@@ -352,7 +283,6 @@ impl NetworkConfig {
                 edge_memory_ports: false,
                 pipeline_stages: 0,
                 edge_bidirectional: false,
-                step_mode: None,
             },
         }
     }
@@ -435,13 +365,6 @@ impl NetworkConfig {
     pub fn with_pipeline_stages(self, stages: u32) -> Self {
         NetworkConfigBuilder::from(self)
             .pipeline_stages(stages)
-            .build_unvalidated()
-    }
-
-    /// Sets the clock-advance mode (builder style).
-    pub fn with_step_mode(self, mode: StepMode) -> Self {
-        NetworkConfigBuilder::from(self)
-            .step_mode(mode)
             .build_unvalidated()
     }
 
@@ -772,15 +695,6 @@ impl NetworkConfigBuilder {
     /// Implements edge-router crossbar turns for both traffic directions.
     pub fn edge_bidirectional(mut self, on: bool) -> Self {
         self.cfg.edge_bidirectional = on;
-        self
-    }
-
-    /// Sets the clock-advance mode (`None` stays the default: defer to the
-    /// `RUCHE_STEP_MODE` environment variable, falling back to
-    /// cycle-accurate). Purely a performance knob — results are
-    /// byte-identical in every mode.
-    pub fn step_mode(mut self, mode: StepMode) -> Self {
-        self.cfg.step_mode = Some(mode);
         self
     }
 
@@ -1316,54 +1230,12 @@ mod tests {
     }
 
     #[test]
-    fn step_mode_knob_reaches_the_field() {
-        let cfg = NetworkConfig::mesh(Dims::new(8, 8));
-        assert_eq!(cfg.step_mode, None, "default defers to the environment");
-        assert_eq!(
-            cfg.clone().with_step_mode(StepMode::EventDriven).step_mode,
-            Some(StepMode::EventDriven)
-        );
-        let built = NetworkConfig::builder(Dims::new(8, 8), TopologyKind::Mesh)
-            .step_mode(StepMode::CycleAccurate)
-            .build()
-            .expect("builder config is valid");
-        assert_eq!(built.step_mode, Some(StepMode::CycleAccurate));
-    }
-
-    #[test]
-    fn step_mode_parses_the_documented_spellings() {
-        for (s, m) in [
-            ("cycle", StepMode::CycleAccurate),
-            ("cycle-accurate", StepMode::CycleAccurate),
-            ("event", StepMode::EventDriven),
-            (" Event-Driven ", StepMode::EventDriven),
-        ] {
-            assert_eq!(s.parse::<StepMode>(), Ok(m), "spelling {s:?}");
-        }
-        for rejected in ["wheel", "auto"] {
-            assert!(
-                rejected.parse::<StepMode>().is_err(),
-                "spelling {rejected:?} must be rejected"
-            );
-        }
-        for m in [StepMode::CycleAccurate, StepMode::EventDriven] {
-            assert_eq!(m.name().parse::<StepMode>(), Ok(m), "name round-trips");
-        }
-    }
-
-    #[test]
-    fn debug_rendering_omits_step_mode() {
-        // The Debug rendering is the sweep-cache key: it must not move when
-        // only the step mode changes (results are byte-identical), and it
-        // must keep the exact derived format so previously written cache
-        // entries stay valid.
+    fn debug_rendering_is_pinned() {
+        // The Debug rendering is the sweep-cache key: it must keep its
+        // exact format so previously written cache entries stay valid.
         let cfg = NetworkConfig::half_ruche(Dims::new(16, 8), 2, CrossbarScheme::Depopulated);
-        let serial = format!("{cfg:?}");
-        let evented = format!("{:?}", cfg.clone().with_step_mode(StepMode::EventDriven));
-        assert_eq!(serial, evented);
-        assert!(!serial.contains("step_mode"));
         assert_eq!(
-            serial,
+            format!("{cfg:?}"),
             "NetworkConfig { dims: Dims { cols: 16, rows: 8 }, \
              topology: Ruche { rf: 2, axes: X }, scheme: Depopulated, \
              dor: XY, fifo_depth: 2, channel_width_bits: 128, \

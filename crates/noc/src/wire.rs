@@ -11,11 +11,6 @@
 //!   equal configurations render byte-identically and the rendering can
 //!   serve as a cache key (`ruche_traffic::wire::SweepRequest` builds on
 //!   it).
-//! * **Performance knobs are not identity.** `step_mode` never appears on
-//!   the wire: results are byte-identical in either step mode, so two
-//!   requests differing only in that knob must be the same request (the
-//!   same contract the `Debug`-based cache key upheld, now enforced
-//!   structurally).
 //!
 //! Decoding is lenient where it is safe: optional fields fall back to the
 //! paper's defaults, so a client can POST `{"dims":{"cols":8,"rows":8},
@@ -265,10 +260,6 @@ impl TopologyKind {
 
 impl NetworkConfig {
     /// The canonical wire form: every field, fixed order, version first.
-    ///
-    /// `step_mode` is deliberately absent — it is a pure performance knob
-    /// whose setting never changes results, so it must not split cache
-    /// keys (see the module docs).
     pub fn to_wire(&self) -> Json {
         Json::Obj(vec![
             ("config_version".into(), Json::U64(CONFIG_WIRE_VERSION)),
@@ -494,21 +485,6 @@ mod tests {
         ] {
             roundtrip(&cfg);
         }
-    }
-
-    #[test]
-    fn step_knobs_never_reach_the_wire() {
-        let dims = Dims::new(8, 8);
-        let plain = NetworkConfig::mesh(dims);
-        let tuned =
-            NetworkConfig::mesh(dims).with_step_mode(crate::topology::StepMode::EventDriven);
-        assert_eq!(
-            plain.to_wire().render(),
-            tuned.to_wire().render(),
-            "performance knobs must not split wire identity"
-        );
-        let back = NetworkConfig::from_wire(&tuned.to_wire()).unwrap();
-        assert_eq!(back.step_mode, None);
     }
 
     #[test]

@@ -158,7 +158,6 @@ fn event_mode_fast_forward_is_allocation_free_in_steady_state() {
 /// warmup.
 fn assert_event_drive_alloc_free(cfg: NetworkConfig, label: &str) {
     let dims = cfg.dims;
-    let cfg = cfg.with_step_mode(StepMode::EventDriven);
     let mut net = Network::new(cfg).unwrap();
     let mut rng = SmallRng::seed_from_u64(11);
     let (bursts, period) = (40u64, 64u64);

@@ -17,11 +17,11 @@
 //!    result. The dedup map spans connections, so two clients submitting
 //!    the same sweep concurrently cost one simulation.
 //!
-//! What remains is simulated on the existing [`SweepRunner`] worker pool
-//! (honoring `StepMode`), with results published to
-//! waiters and streamed to the batch's own connection **in job order**,
-//! incrementally — job `i`'s line is written the moment jobs `0..=i` have
-//! all resolved, not when the whole batch finishes.
+//! What remains is simulated on the existing [`SweepRunner`] worker pool,
+//! with results published to waiters and streamed to the batch's own
+//! connection **in job order**, incrementally — job `i`'s line is written
+//! the moment jobs `0..=i` have all resolved, not when the whole batch
+//! finishes.
 //!
 //! Responses are **byte-stable**: a scalar batch (the default) answers
 //! with per-tile accumulators scrubbed whether the job was freshly
@@ -32,7 +32,6 @@ use crate::metrics::Metrics;
 use crate::proto::{Batch, JobError};
 use ruche_bench::store::ResultStore;
 use ruche_bench::sweep::{SweepJob, SweepRunner};
-use ruche_noc::topology::StepMode;
 use ruche_traffic::{SweepRequest, TbResult};
 // lint:allow(hash-order): the in-flight map is get/insert/remove by key
 // only; nothing ever iterates it, so its order cannot reach any artifact.
@@ -103,7 +102,6 @@ enum Slot {
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
-    step_mode: Option<StepMode>,
     store: Option<Arc<ResultStore>>,
     inflight: Mutex<HashMap<String, Arc<InFlight>>>,
     metrics: Metrics,
@@ -111,22 +109,14 @@ pub struct Engine {
 
 impl Engine {
     /// An engine whose simulations run on `threads` pool workers, with no
-    /// result store and the default step mode. Builder methods refine it.
+    /// result store. Builder methods refine it.
     pub fn new(threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
-            step_mode: None,
             store: None,
             inflight: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
         }
-    }
-
-    /// Selects the clock-advance engine for simulated jobs. Pure
-    /// performance knob: results and cache keys are unaffected.
-    pub fn with_step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = Some(mode);
-        self
     }
 
     /// Backs the engine with a result store shared by every connection
@@ -240,9 +230,6 @@ impl Engine {
             flights: owned.iter().map(|(_, _, f)| f.clone()).collect(),
         };
         let mut runner = SweepRunner::uncached(self.threads);
-        if let Some(mode) = self.step_mode {
-            runner = runner.with_step_mode(mode);
-        }
         if let Some(store) = &self.store {
             runner = runner.with_store(store.clone());
         }

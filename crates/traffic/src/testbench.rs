@@ -15,7 +15,6 @@ use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
 use ruche_stats::Accum;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Testbench phase lengths and injection parameters.
@@ -275,6 +274,59 @@ pub fn run_probed(
     run_inner(cfg, tb, Some(window)).map(|(res, tel)| (res, tel.expect("telemetry was attached")))
 }
 
+/// The open-loop injection process, drawn lazily: each [`refill`]
+/// consumes the testbench RNG one cycle at a time, in `(cycle, tile)`
+/// order, up to the next cycle that injects anything, and keeps only that
+/// cycle's packets. No Bernoulli or destination draw depends on simulation
+/// state, so the stream is exactly what drawing inside the cycle loop would
+/// produce — same packet ids, birth cycles and destinations — while the
+/// driver learns how far it may fast-forward.
+///
+/// [`refill`]: Injections::refill
+struct Injections {
+    rng: SmallRng,
+    /// First cycle without injection (the end of the measurement window).
+    until: u64,
+    /// The cycle [`Injections::batch`] injects at; `u64::MAX` once the
+    /// injection window is exhausted.
+    cycle: u64,
+    /// That cycle's `(source, destination)` pairs in tile order: at most
+    /// one per tile, in one reused buffer.
+    batch: Vec<(Coord, Dest)>,
+}
+
+impl Injections {
+    /// Draws cycles from `from` on until one injects anything, leaving it
+    /// in `cycle` and `batch`.
+    fn refill(&mut self, net: &Network, tb: &Testbench, from: u64) {
+        let dims = net.cfg().dims;
+        let table = net.route_table();
+        self.batch.clear();
+        for cycle in from..self.until {
+            for src in dims.iter() {
+                // Dead tiles fall silent without consuming an RNG draw, so
+                // a fault model perturbs only the traffic it disables.
+                if table.is_some() && !net.endpoint_alive(net.tile_endpoint(src)) {
+                    continue;
+                }
+                if self.rng.gen_bool(tb.injection_rate) {
+                    if let Some(dest) = tb.pattern.dest(src, dims, &mut self.rng) {
+                        // Partitioned pairs are offered nothing.
+                        if table.is_none_or(|t| t.reachable(src, Dir::P, dest)) {
+                            self.batch.push((src, dest));
+                        }
+                    }
+                }
+            }
+            if !self.batch.is_empty() {
+                self.cycle = cycle;
+                return;
+            }
+        }
+        self.cycle = u64::MAX;
+    }
+}
+
 fn run_inner(
     cfg: &NetworkConfig,
     tb: &Testbench,
@@ -297,46 +349,19 @@ fn run_inner(
             other => panic!("unexpected faulted-network construction error: {other}"),
         })?
     };
-    // Cloned out of the network so reachability checks below don't hold a
-    // borrow across `enqueue`. `None` on the unfaulted fast path.
-    let fault_table = net.route_table().cloned();
     if let Some(window) = telemetry_window {
         net.attach_telemetry(window);
     }
-    let mut rng = SmallRng::seed_from_u64(tb.seed);
 
     let inject_until = tb.warmup + tb.measure;
     let m_start = tb.warmup;
-
-    // Event-driven stepping fast-forwards the clock across provably-empty
-    // spans, which requires knowing the next injection cycle up front. The
-    // whole injection schedule is drawn ahead of time — no Bernoulli or
-    // destination draw depends on simulation state, so consuming the very
-    // same RNG stream in the very same (cycle, tile) order yields exactly
-    // the traffic the per-cycle loop below generates: same packet ids, same
-    // birth cycles, same destinations, bit for bit. The cycle-accurate path
-    // keeps the original interleaved loop untouched.
-    let event_on = net.step_mode() != StepMode::CycleAccurate;
-    let mut schedule: VecDeque<(u64, Coord, Dest)> = VecDeque::new();
-    if event_on {
-        for cycle in 0..inject_until {
-            for src in dims.iter() {
-                if fault_table.is_some() && !net.endpoint_alive(net.tile_endpoint(src)) {
-                    continue;
-                }
-                if rng.gen_bool(tb.injection_rate) {
-                    if let Some(dest) = tb.pattern.dest(src, dims, &mut rng) {
-                        if let Some(table) = &fault_table {
-                            if !table.reachable(src, Dir::P, dest) {
-                                continue;
-                            }
-                        }
-                        schedule.push_back((cycle, src, dest));
-                    }
-                }
-            }
-        }
-    }
+    let mut injections = Injections {
+        rng: SmallRng::seed_from_u64(tb.seed),
+        until: inject_until,
+        cycle: 0,
+        batch: Vec::with_capacity(n_tiles as usize),
+    };
+    injections.refill(&net, tb, 0);
     let mut next_id = 0u64;
     let mut expected = 0u64; // packets born in the measurement window
     let mut delivered = 0u64;
@@ -347,48 +372,18 @@ fn run_inner(
     let mut cycle = 0u64;
     let deadline = inject_until + tb.drain;
     while cycle < deadline {
-        if cycle < inject_until {
-            if event_on {
-                // Replay the precomputed schedule for this cycle.
-                while schedule.front().is_some_and(|&(c, ..)| c == cycle) {
-                    let (_, src, dest) = schedule.pop_front().expect("checked front");
-                    let ep = net.tile_endpoint(src);
-                    if cycle >= m_start {
-                        expected += 1;
-                    }
-                    for f in Flit::multi(src, dest, next_id, cycle, tb.packet_len) {
-                        net.enqueue(ep, f);
-                    }
-                    next_id += 1;
+        if injections.cycle == cycle {
+            for &(src, dest) in &injections.batch {
+                if cycle >= m_start {
+                    expected += 1;
                 }
-            } else {
-                for src in dims.iter() {
-                    // Dead tiles fall silent without consuming an RNG draw,
-                    // so a fault model perturbs only the traffic it
-                    // disables.
-                    if fault_table.is_some() && !net.endpoint_alive(net.tile_endpoint(src)) {
-                        continue;
-                    }
-                    if rng.gen_bool(tb.injection_rate) {
-                        if let Some(dest) = tb.pattern.dest(src, dims, &mut rng) {
-                            if let Some(table) = &fault_table {
-                                if !table.reachable(src, Dir::P, dest) {
-                                    continue; // partitioned pair: offer nothing
-                                }
-                            }
-                            let ep = net.tile_endpoint(src);
-                            let in_window = cycle >= m_start;
-                            if in_window {
-                                expected += 1;
-                            }
-                            for f in Flit::multi(src, dest, next_id, cycle, tb.packet_len) {
-                                net.enqueue(ep, f);
-                            }
-                            next_id += 1;
-                        }
-                    }
+                let ep = net.tile_endpoint(src);
+                for f in Flit::multi(src, dest, next_id, cycle, tb.packet_len) {
+                    net.enqueue(ep, f);
                 }
+                next_id += 1;
             }
+            injections.refill(&net, tb, cycle + 1);
         }
         let in_measure = (m_start..inject_until).contains(&cycle);
         for &(_, f) in net.step() {
@@ -408,15 +403,12 @@ fn run_inner(
             break;
         }
         // Fast-forward across the span in which neither the network (no
-        // flit buffered or in transit) nor the schedule (next injection
-        // still ahead) can do anything. Skipped cycles eject nothing — the
-        // span is provably empty — so the accounting above misses nothing,
-        // and telemetry records the span in bulk, byte-identical to
-        // stepping it.
-        if event_on {
-            let next_inject = schedule.front().map_or(deadline, |&(c, ..)| c);
-            cycle = net.fast_forward(next_inject.min(deadline));
-        }
+        // flit buffered or in transit) nor the injection process (next
+        // injection still ahead) can do anything. Skipped cycles eject
+        // nothing — the span is provably empty — so the accounting above
+        // misses nothing, and telemetry records the span in bulk,
+        // byte-identical to stepping it.
+        cycle = net.fast_forward(injections.cycle.min(deadline));
     }
 
     let accepted = measured_flits_ejected as f64 / (n_tiles * tb.measure) as f64;

@@ -130,10 +130,7 @@ impl Testbench {
 /// canonical, versioned wire identity.
 ///
 /// Two requests are the same job exactly when their [`cache_key`]
-/// (SweepRequest::cache_key) strings are equal. By construction the key
-/// excludes `step_mode` (the config wire codec never emits it), so results
-/// computed in either step mode are interchangeable — the same contract
-/// the old `Debug`-based key upheld.
+/// (SweepRequest::cache_key) strings are equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
     /// The network under test.
@@ -308,7 +305,7 @@ mod tests {
     use super::*;
     use crate::run;
     use ruche_noc::geometry::{Dims, Dir};
-    use ruche_noc::topology::{CrossbarScheme, StepMode};
+    use ruche_noc::topology::CrossbarScheme;
     use ruche_telemetry::json::parse;
 
     fn quick(rate: f64) -> Testbench {
@@ -376,27 +373,6 @@ mod tests {
         assert_eq!(tb.packet_len, 1);
         assert_eq!(tb.seed, Testbench::DEFAULT_SEED);
         assert!(tb.faults.is_empty());
-    }
-
-    #[test]
-    fn request_key_is_step_mode_independent() {
-        let dims = Dims::new(8, 8);
-        let base = SweepRequest::new(NetworkConfig::mesh(dims), quick(0.1));
-        let tuned = SweepRequest::new(
-            NetworkConfig::mesh(dims).with_step_mode(StepMode::EventDriven),
-            quick(0.1),
-        );
-        assert_eq!(base.cache_key(), tuned.cache_key());
-        // But every semantic knob splits the key.
-        let other_cfg = SweepRequest::new(
-            NetworkConfig::full_ruche(dims, 2, CrossbarScheme::Depopulated),
-            quick(0.1),
-        );
-        let other_rate = SweepRequest::new(NetworkConfig::mesh(dims), quick(0.2));
-        assert_ne!(base.cache_key(), other_cfg.cache_key());
-        assert_ne!(base.cache_key(), other_rate.cache_key());
-        // The version is explicit in the key bytes.
-        assert!(base.cache_key().contains("\"key_version\":1"));
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub fn dispatch(cmd: &str, argv: &[String]) -> i32 {
 /// Builds the engine a daemon or offline evaluation runs on.
 fn build_engine(o: &opts::EngineOpts) -> Engine {
     let mut engine = Engine::new(o.threads);
-    if let Some(mode) = o.step_mode {
-        engine = engine.with_step_mode(mode);
-    }
     if o.cache {
         let store = ResultStore::open_default();
         store.migrate_legacy_tsv(&results_dir().join("sweep_cache.tsv"));

@@ -1,11 +1,9 @@
 //! Option parsing for the `serve`, `submit`, and `eval` subcommands.
 //!
 //! The same flat `--flag value` style as the simulator CLI. Engine
-//! flags (`--threads`, `--step-mode`, `--no-cache`)
-//! are shared between `serve` and `eval` so the offline path can be
+//! flags (`--threads`, `--no-cache`) are shared between `serve` and `eval` so the offline path can be
 //! configured identically to the daemon it is diffed against.
 
-use ruche_noc::topology::StepMode;
 use ruche_service::Bind;
 use std::path::PathBuf;
 
@@ -16,11 +14,9 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7641";
 /// Prints subcommand usage to stderr; returns the exit code to use.
 pub fn usage() -> i32 {
     eprintln!(
-        "usage: ruche-sim serve  [--bind ADDR | --unix PATH] [--threads N] \
-         [--step-mode cycle|event] [--no-cache]\n\
+        "usage: ruche-sim serve  [--bind ADDR | --unix PATH] [--threads N] [--no-cache]\n\
          \x20      ruche-sim submit [--bind ADDR | --unix PATH] [--file PATH] [--shutdown]\n\
-         \x20      ruche-sim eval   [--file PATH] [--threads N] \
-         [--step-mode cycle|event] [--no-cache]\n\
+         \x20      ruche-sim eval   [--file PATH] [--threads N] [--no-cache]\n\
          \n\
          submit/eval read protocol lines from --file (or stdin): a JSON object\n\
          per line, one whole-file JSON object, or a bare array of sweep requests\n\
@@ -34,8 +30,6 @@ pub fn usage() -> i32 {
 pub struct EngineOpts {
     /// Sweep pool width (`--threads`, default: all available cores).
     pub threads: usize,
-    /// Stepping mode override (`--step-mode`).
-    pub step_mode: Option<StepMode>,
     /// Whether to back the engine with the on-disk result store
     /// (disabled by `--no-cache`).
     pub cache: bool,
@@ -45,7 +39,6 @@ impl Default for EngineOpts {
     fn default() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            step_mode: None,
             cache: true,
         }
     }
@@ -61,7 +54,6 @@ impl EngineOpts {
     ) -> Result<bool, String> {
         match flag {
             "--threads" => self.threads = parse_count(value(it, flag)?, flag)?.max(1),
-            "--step-mode" => self.step_mode = Some(parse_step_mode(value(it, flag)?)?),
             "--no-cache" => self.cache = false,
             _ => return Ok(false),
         }
@@ -196,16 +188,6 @@ fn parse_count(s: &str, flag: &str) -> Result<usize, String> {
         .map_err(|_| format!("{flag} needs an unsigned integer, got {s:?}"))
 }
 
-fn parse_step_mode(s: &str) -> Result<StepMode, String> {
-    match s {
-        "cycle" => Ok(StepMode::CycleAccurate),
-        "event" => Ok(StepMode::EventDriven),
-        other => Err(format!(
-            "unknown step mode {other:?}; expected cycle or event"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,13 +203,10 @@ mod tests {
             "0.0.0.0:9000",
             "--threads",
             "3",
-            "--step-mode",
-            "event",
             "--no-cache",
         ]))
         .expect("parses");
         assert_eq!(o.engine.threads, 3);
-        assert_eq!(o.engine.step_mode, Some(StepMode::EventDriven));
         assert!(!o.engine.cache);
     }
 
@@ -236,12 +215,11 @@ mod tests {
         let o = ServeOpts::try_parse(&[]).expect("parses");
         assert!(o.engine.cache);
         assert!(o.engine.threads >= 1);
-        assert_eq!(o.engine.step_mode, None);
     }
 
     #[test]
     fn bad_flags_are_reported_not_ignored() {
-        assert!(ServeOpts::try_parse(&args(&["--step-mode", "warp"]))
+        assert!(ServeOpts::try_parse(&args(&["--threads", "warp"]))
             .unwrap_err()
             .contains("warp"));
         assert!(ServeOpts::try_parse(&args(&["--threads"]))
@@ -255,16 +233,15 @@ mod tests {
 
     #[test]
     fn removed_engine_options_are_flag_errors() {
-        // `--step-threads` and the `auto` step mode no longer exist: both
-        // come back as the usual structured flag error, never a panic.
-        let serve = ServeOpts::try_parse(&args(&["--step-threads", "2"])).unwrap_err();
-        assert!(serve.contains("--step-threads"), "{serve}");
-        let eval = EvalOpts::try_parse(&args(&["--step-threads", "2"])).unwrap_err();
-        assert!(eval.contains("--step-threads"), "{eval}");
-        let serve = ServeOpts::try_parse(&args(&["--step-mode", "auto"])).unwrap_err();
-        assert!(serve.contains("auto"), "{serve}");
-        let eval = EvalOpts::try_parse(&args(&["--step-mode", "auto"])).unwrap_err();
-        assert!(eval.contains("auto"), "{eval}");
+        // `--step-threads` and `--step-mode` no longer exist: each comes
+        // back as the usual unknown-flag error, never a panic or a silent
+        // no-op.
+        for (flag, value) in [("--step-threads", "2"), ("--step-mode", "event")] {
+            let serve = ServeOpts::try_parse(&args(&[flag, value])).unwrap_err();
+            assert_eq!(serve, format!("unknown serve flag {flag:?}"));
+            let eval = EvalOpts::try_parse(&args(&[flag, value])).unwrap_err();
+            assert_eq!(eval, format!("unknown eval flag {flag:?}"));
+        }
     }
 
     #[test]

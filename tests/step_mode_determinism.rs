@@ -1,15 +1,19 @@
-//! Step-mode determinism: a network stepped by the event wheel
-//! (`StepMode::EventDriven`, fast-forwarding quiescent spans) must be
-//! **byte-identical** to the cycle-accurate engine — same per-cycle
-//! ejection sequence, same snapshots, same link loads, same telemetry
-//! counters — for every topology, dimension, and fault model. See
-//! `docs/EVENTS.md` for why this holds by construction: the only spans
-//! skipped are provably empty.
+//! Clock-advance determinism: a network driven through
+//! `Network::fast_forward` (skipping quiescent spans) must be
+//! **byte-identical** to the oracle, the same network with `step()` called
+//! every cycle — same per-cycle ejection sequence, same snapshots, same
+//! link loads, same telemetry counters — for every topology, dimension,
+//! and fault model. The synthetic-traffic testbench, which fast-forwards
+//! between injections, must likewise match a per-cycle injection loop
+//! that never skips. See `docs/EVENTS.md` for why this holds by
+//! construction: the only spans skipped are provably empty.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ruche::noc::packet::Flit;
 use ruche::noc::prelude::*;
+use ruche::stats::{Accum, Samples};
+use ruche::traffic::{Pattern, TbResult, Testbench};
 
 /// Strategy over network families, including degenerate 1×N / N×1 lines.
 fn arb_config() -> impl Strategy<Value = NetworkConfig> {
@@ -72,9 +76,9 @@ fn gen_schedule(
     schedule
 }
 
-/// Drives `cycle_net` strictly cycle by cycle and `event_net` through the
-/// fast-forward driver, and asserts they agree in lockstep: whenever the
-/// event engine skips a span, the cycle-accurate engine replays it step by
+/// Drives `cycle_net` strictly cycle by cycle (the oracle) and `event_net`
+/// through the fast-forward driver, and asserts they agree in lockstep:
+/// whenever the event driver skips a span, the oracle replays it step by
 /// step and must eject nothing; at every shared cycle the ejections (order
 /// included) and snapshots must match; after drain the traversal counters
 /// and per-link telemetry must match.
@@ -86,24 +90,19 @@ fn assert_mode_lockstep(
     gap: u64,
     cycles: u64,
 ) {
-    assert_eq!(
-        cycle_net.step_mode(),
-        StepMode::CycleAccurate,
-        "control must run cycle-accurate"
-    );
     cycle_net.attach_telemetry(64);
     event_net.attach_telemetry(64);
     let schedule = gen_schedule(&cycle_net, seed, rate, gap, cycles);
     let mut next = 0usize;
     let mut guard = 0u32;
     while event_net.cycle() < cycles || !event_net.is_quiescent() {
-        // Replay any span the event engine skipped: it claimed the span
-        // was empty, so the cycle-accurate engine must eject nothing in it.
+        // Replay any span the event driver skipped: it claimed the span
+        // was empty, so the oracle must eject nothing in it.
         while cycle_net.cycle() < event_net.cycle() {
             let ej = cycle_net.step().to_vec();
             assert!(
                 ej.is_empty(),
-                "cycle-accurate engine ejected at cycle {} inside a skipped span",
+                "oracle ejected at cycle {} inside a skipped span",
                 cycle_net.cycle()
             );
         }
@@ -135,7 +134,7 @@ fn assert_mode_lockstep(
     while cycle_net.cycle() < event_net.cycle() {
         assert!(
             cycle_net.step().is_empty(),
-            "cycle-accurate engine ejected inside the final skipped span"
+            "oracle ejected inside the final skipped span"
         );
     }
     assert_eq!(cycle_net.snapshot(), event_net.snapshot());
@@ -166,10 +165,97 @@ fn assert_mode_lockstep(
     }
 }
 
+/// The testbench loop without fast-forwarding, kept as the oracle for
+/// `ruche::traffic::run`: per-cycle Bernoulli and destination draws in
+/// `(cycle, tile)` order, interleaved with `step()` every cycle. `None`
+/// wherever `run` returns an error.
+fn interleaved_testbench(cfg: &NetworkConfig, tb: &Testbench) -> Option<TbResult> {
+    tb.validate().ok()?;
+    tb.pattern.validate(cfg.dims).ok()?;
+    let mut cfg = cfg.clone();
+    if tb.pattern.needs_edge_ports() {
+        cfg.edge_memory_ports = true;
+    }
+    let dims = cfg.dims;
+    let n_tiles = dims.count() as u64;
+    let mut net = if tb.faults.is_empty() {
+        Network::new(cfg).ok()?
+    } else {
+        Network::with_faults(cfg, &tb.faults).ok()?
+    };
+    let table = net.route_table().cloned();
+    let mut rng = SmallRng::seed_from_u64(tb.seed);
+    let inject_until = tb.warmup + tb.measure;
+    let m_start = tb.warmup;
+    let (mut next_id, mut expected, mut delivered, mut measured_flits) = (0u64, 0u64, 0u64, 0u64);
+    let mut lat = Samples::new();
+    let mut per_tile = vec![Accum::new(); n_tiles as usize];
+    let deadline = inject_until + tb.drain;
+    let mut cycle = 0u64;
+    while cycle < deadline {
+        if cycle < inject_until {
+            for src in dims.iter() {
+                if table.is_some() && !net.endpoint_alive(net.tile_endpoint(src)) {
+                    continue;
+                }
+                if !rng.gen_bool(tb.injection_rate) {
+                    continue;
+                }
+                let Some(dest) = tb.pattern.dest(src, dims, &mut rng) else {
+                    continue;
+                };
+                if table
+                    .as_ref()
+                    .is_some_and(|t| !t.reachable(src, Dir::P, dest))
+                {
+                    continue;
+                }
+                if cycle >= m_start {
+                    expected += 1;
+                }
+                let ep = net.tile_endpoint(src);
+                for f in Flit::multi(src, dest, next_id, cycle, tb.packet_len) {
+                    net.enqueue(ep, f);
+                }
+                next_id += 1;
+            }
+        }
+        let in_measure = (m_start..inject_until).contains(&cycle);
+        for &(_, f) in net.step() {
+            if in_measure {
+                measured_flits += 1;
+            }
+            if f.kind.is_tail() && f.birth >= m_start && f.birth < inject_until {
+                let latency = (cycle - f.birth) as f64;
+                lat.add(latency);
+                per_tile[dims.index(f.src)].add(latency);
+                delivered += 1;
+            }
+        }
+        cycle += 1;
+        if cycle >= inject_until && delivered == expected {
+            break;
+        }
+    }
+    let accepted = measured_flits as f64 / (n_tiles * tb.measure) as f64;
+    let offered = tb.injection_rate * tb.packet_len as f64;
+    let lost = expected - delivered;
+    Some(TbResult {
+        offered,
+        accepted,
+        avg_latency: lat.mean(),
+        p99_latency: lat.quantile(0.99).unwrap_or(0.0),
+        delivered,
+        lost,
+        per_tile_latency: per_tile,
+        saturated: lost > 0 || accepted < 0.95 * offered - 0.005,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Event-driven and cycle-accurate execution agree exactly on random
+    /// Fast-forwarding and stepping every cycle agree exactly on random
     /// topologies and bursty traffic.
     #[test]
     fn event_step_matches_cycle_accurate(
@@ -179,8 +265,8 @@ proptest! {
         gap in 1u64..=32,
     ) {
         prop_assume!(cfg.validate().is_ok());
-        let cycle_net = Network::new(cfg.clone().with_step_mode(StepMode::CycleAccurate)).unwrap();
-        let event_net = Network::new(cfg.with_step_mode(StepMode::EventDriven)).unwrap();
+        let cycle_net = Network::new(cfg.clone()).unwrap();
+        let event_net = Network::new(cfg).unwrap();
         assert_mode_lockstep(cycle_net, event_net, seed, rate, gap, 120);
     }
 
@@ -196,22 +282,15 @@ proptest! {
         let dims = Dims::new(8, 8);
         let cfg = NetworkConfig::mesh(dims);
         let faults = FaultModel::random_links(&cfg, 0.08, fseed);
-        let cycle_net = Network::with_faults(
-            cfg.clone().with_step_mode(StepMode::CycleAccurate), &faults,
-        );
-        let event_net = Network::with_faults(
-            cfg.with_step_mode(StepMode::EventDriven), &faults,
-        );
-        match (cycle_net, event_net) {
-            (Ok(c), Ok(e)) => assert_mode_lockstep(c, e, seed, rate, gap, 100),
-            // A fault set the builder rejects must be rejected in any mode.
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "engines disagree on {:?} vs {:?}", a.is_ok(), b.is_ok()),
+        // A fault set the builder rejects has nothing to compare.
+        if let Ok(cycle_net) = Network::with_faults(cfg.clone(), &faults) {
+            let event_net = Network::with_faults(cfg, &faults).unwrap();
+            assert_mode_lockstep(cycle_net, event_net, seed, rate, gap, 100);
         }
     }
 
-    /// `Network::run` reaches the same state in both modes: same final
-    /// snapshot, same link loads.
+    /// `Network::run` (which fast-forwards) reaches the same state as
+    /// `step()` called every cycle: same final snapshot, same link loads.
     #[test]
     fn run_is_mode_independent(
         seed in any::<u64>(),
@@ -226,18 +305,75 @@ proptest! {
             flits.push((s, Flit::single(s, Dest::tile(d), id, 0)));
         }
         let mut snaps = Vec::new();
-        for mode in [StepMode::CycleAccurate, StepMode::EventDriven] {
-            let cfg = NetworkConfig::mesh(dims).with_step_mode(mode);
-            let mut net = Network::new(cfg).unwrap();
+        for run in [false, true] {
+            let mut net = Network::new(NetworkConfig::mesh(dims)).unwrap();
             for &(s, f) in &flits {
                 net.enqueue(net.tile_endpoint(s), f);
             }
-            net.run(400);
+            if run {
+                net.run(400);
+            } else {
+                for _ in 0..400 {
+                    net.step();
+                }
+            }
             prop_assert_eq!(net.cycle(), 400);
             prop_assert!(net.is_quiescent());
             snaps.push((net.snapshot(), net.link_loads().iter().collect::<Vec<_>>()));
         }
         prop_assert_eq!(&snaps[0], &snaps[1]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The testbench, which fast-forwards between injections, matches the
+    /// per-cycle injection loop exactly on random small topologies,
+    /// patterns, rates from 0.001 to 0.5 and short windows, with and
+    /// without random link faults and a dead router.
+    #[test]
+    fn testbench_matches_the_per_cycle_injection_loop(
+        cfg in arb_config(),
+        pattern in (0u8..=6, 0u16..9, 0u16..9),
+        rate_milli in 1u32..=500,
+        windows in (0u64..=60, 1u64..=120, 1u64..=200, 1usize..=3),
+        seed in any::<u64>(),
+        faults in (0u8..=2, 0u32..=15, any::<u64>()),
+    ) {
+        prop_assume!(cfg.validate().is_ok());
+        let (kind, x, y) = pattern;
+        let spot = Coord::new(x % cfg.dims.cols, y % cfg.dims.rows);
+        let pattern = match kind {
+            0 => Pattern::UniformRandom,
+            1 => Pattern::BitComplement,
+            2 => Pattern::Transpose,
+            3 => Pattern::Tornado,
+            4 => Pattern::Hotspot(spot),
+            5 => Pattern::TileToMemory,
+            _ => Pattern::Neighbor,
+        };
+        let (warmup, measure, drain, packet_len) = windows;
+        // 0: no faults; 1: random links; 2: random links and a dead router.
+        let (fault_kind, percent, fseed) = faults;
+        let mut fault_model = FaultModel::default();
+        if fault_kind > 0 {
+            fault_model = FaultModel::random_links(&cfg, f64::from(percent) / 100.0, fseed);
+        }
+        if fault_kind > 1 {
+            fault_model = fault_model.kill_router(spot);
+        }
+        let tb = Testbench {
+            pattern,
+            injection_rate: f64::from(rate_milli) / 1000.0,
+            warmup,
+            measure,
+            drain,
+            packet_len,
+            seed,
+            faults: fault_model,
+        };
+        prop_assert_eq!(ruche::traffic::run(&cfg, &tb).ok(), interleaved_testbench(&cfg, &tb));
     }
 }
 
@@ -268,18 +404,8 @@ fn quiescence_introspection_tracks_in_flight_traffic() {
 }
 
 #[test]
-fn fast_forward_is_a_no_op_in_cycle_accurate_mode() {
-    let cfg = NetworkConfig::mesh(Dims::new(4, 4)).with_step_mode(StepMode::CycleAccurate);
-    let mut net = Network::new(cfg).unwrap();
-    assert!(net.is_quiescent());
-    assert_eq!(net.fast_forward(1_000), 0, "cycle mode must never skip");
-    assert_eq!(net.cycle(), 0);
-}
-
-#[test]
 fn fast_forward_skips_quiescent_spans_in_event_mode() {
-    let cfg = NetworkConfig::mesh(Dims::new(4, 4)).with_step_mode(StepMode::EventDriven);
-    let mut net = Network::new(cfg).unwrap();
+    let mut net = Network::new(NetworkConfig::mesh(Dims::new(4, 4))).unwrap();
     assert_eq!(net.fast_forward(1_000), 1_000);
     assert_eq!(net.cycle(), 1_000);
     // A busy network refuses to skip: the next event is the current cycle.
@@ -290,24 +416,4 @@ fn fast_forward_skips_quiescent_spans_in_event_mode() {
     );
     assert_eq!(net.fast_forward(2_000), 1_000);
     assert_eq!(net.cycle(), 1_000);
-}
-
-#[test]
-fn step_mode_resolution_prefers_the_config_knob() {
-    let cfg = NetworkConfig::mesh(Dims::new(4, 4));
-    // With no config knob the mode comes from `RUCHE_STEP_MODE`, falling
-    // back to cycle-accurate (the whole test suite runs under either).
-    let fallback = std::env::var("RUCHE_STEP_MODE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(StepMode::CycleAccurate);
-    let net = Network::new(cfg.clone()).unwrap();
-    assert_eq!(net.step_mode(), fallback);
-    // The config knob always wins over the environment.
-    let other = match fallback {
-        StepMode::CycleAccurate => StepMode::EventDriven,
-        StepMode::EventDriven => StepMode::CycleAccurate,
-    };
-    let net = Network::new(cfg.with_step_mode(other)).unwrap();
-    assert_eq!(net.step_mode(), other);
 }
