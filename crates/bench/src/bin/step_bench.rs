@@ -7,14 +7,16 @@
 //! quiescent spans between bursts. `docs/EVENTS.md` explains how to read
 //! it.
 //!
-//! Every point is measured as **warmup + median-of-3**: one untimed run
-//! primes caches, then three timed runs report their median rate. Traffic
-//! is pre-generated from a fixed seed, and the per-run **digest**
-//! (injected, ejected, final cycle, total link traversals) is asserted
-//! identical across both drivers and every repeat before anything is
-//! written — a divergence aborts the bench with a non-zero exit. The
-//! timing numbers vary with the machine, the simulation results never do.
-//! Every emitted record names its driver in `step_mode`.
+//! Every point is measured as **warmup + 5 repeats**: one untimed run
+//! primes caches, then five timed runs report their min, median and max
+//! rate (`cycles_per_sec` is the median). Traffic is pre-generated from a
+//! fixed seed, and the per-run **digest** (injected, ejected, final cycle,
+//! total link traversals) is asserted identical across both drivers and
+//! every repeat before anything is written — a divergence aborts the bench
+//! with a non-zero exit. The timing numbers vary with the machine, the
+//! simulation results never do. Every emitted record names its driver in
+//! `step_mode`; the file records the host's `available_parallelism` and
+//! the git revision it was built from (`null` outside a git checkout).
 //!
 //! Pass `--quick` to shorten the bursty workload and drop the Ruche row.
 
@@ -34,6 +36,8 @@ const SEED: u64 = 17;
 /// Compared drivers as (name, fast-forward after each step); the first is
 /// the speedup baseline.
 const DRIVERS: [(&str, bool); 2] = [("cycle", false), ("event", true)];
+/// Timed runs per point, after one untimed warmup run.
+const REPEATS: usize = 5;
 
 /// Simulation results that must not depend on the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,21 +67,43 @@ impl Digest {
     }
 }
 
-/// Warmup + median-of-3 around one timed point. The first (discarded) run
-/// primes caches and page tables; the next three
-/// are timed and the median rate is reported. All four digests must agree
-/// — a digest that varies between identical runs is nondeterminism, not
-/// noise, and aborts the bench.
-fn warm_median3(mut run: impl FnMut() -> (Digest, f64)) -> (Digest, f64) {
+/// Rates of one timed point, in cycles per second.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+/// Warmup + [`REPEATS`] timed runs around one point. The first (discarded)
+/// run primes caches and page tables; the rest are timed. All digests must
+/// agree — a digest that varies between identical runs is nondeterminism,
+/// not noise, and aborts the bench.
+fn warm_repeats(mut run: impl FnMut() -> (Digest, f64)) -> (Digest, Spread) {
     let (digest, _) = run();
-    let mut rates = [0.0f64; 3];
+    let mut rates = [0.0f64; REPEATS];
     for r in &mut rates {
         let (d, cps) = run();
         assert_eq!(digest, d, "digest varied between identical repeat runs");
         *r = cps;
     }
     rates.sort_by(f64::total_cmp);
-    (digest, rates[1])
+    let spread = Spread {
+        min: rates[0],
+        median: rates[REPEATS / 2],
+        max: rates[REPEATS - 1],
+    };
+    (digest, spread)
+}
+
+/// The checked-out git revision, when `git rev-parse` succeeds.
+fn git_rev() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()?;
+    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    (out.status.success() && !rev.is_empty()).then_some(rev)
 }
 
 /// One timed driver run: steps `cfg` through the sparse `schedule` of
@@ -210,6 +236,11 @@ fn bench_modes(opts: &Opts) {
     let _ = writeln!(json, "  \"version\": \"{MODEL_VERSION}\",");
     let _ = writeln!(json, "  \"quick\": {},", opts.quick);
     let _ = writeln!(json, "  \"seed\": {SEED},");
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(json, "  \"available_parallelism\": {threads},");
+    let rev = git_rev().map_or("null".into(), |r| format!("\"{r}\""));
+    let _ = writeln!(json, "  \"git_rev\": {rev},");
+    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
     let _ = writeln!(json, "  \"runs\": [");
     let mut first = true;
     for row in mode_rows(opts.quick) {
@@ -228,8 +259,9 @@ fn bench_modes(opts: &Opts) {
         let mut baseline: Option<(Digest, f64)> = None;
         let mut results = Vec::new();
         for (name, fast_forward) in DRIVERS {
-            let (digest, cps) =
-                warm_median3(|| timed_mode_run(&row.cfg, &row.schedule, row.horizon, fast_forward));
+            let (digest, spread) =
+                warm_repeats(|| timed_mode_run(&row.cfg, &row.schedule, row.horizon, fast_forward));
+            let cps = spread.median;
             match &baseline {
                 None => baseline = Some((digest, cps)),
                 Some((d0, _)) => assert_eq!(
@@ -243,11 +275,13 @@ fn bench_modes(opts: &Opts) {
             }
             let speedup = cps / baseline.expect("set above").1;
             println!(
-                "   mode={name}: {} cycles/sec, speedup {}",
+                "   mode={name}: {} cycles/sec (min {}, max {}), speedup {}",
                 fmt_f(cps, 0),
+                fmt_f(spread.min, 0),
+                fmt_f(spread.max, 0),
                 fmt_f(speedup, 2),
             );
-            results.push((name, cps, speedup));
+            results.push((name, spread, speedup));
         }
         let (digest, _) = baseline.expect("at least one driver");
         if !first {
@@ -263,11 +297,14 @@ fn bench_modes(opts: &Opts) {
         let _ = writeln!(json, "      \"injection_rate\": {},", fmt_f(rate, 5));
         let _ = writeln!(json, "      \"digest\": {},", digest.json());
         let _ = writeln!(json, "      \"modes\": [");
-        for (i, (name, cps, speedup)) in results.iter().enumerate() {
+        for (i, (name, spread, speedup)) in results.iter().enumerate() {
             let _ = writeln!(
                 json,
-                "        {{\"step_mode\": \"{name}\", \"cycles_per_sec\": {}, \"speedup\": {}}}{}",
-                fmt_f(*cps, 1),
+                "        {{\"step_mode\": \"{name}\", \"cycles_per_sec\": {}, \
+                 \"cycles_per_sec_min\": {}, \"cycles_per_sec_max\": {}, \"speedup\": {}}}{}",
+                fmt_f(spread.median, 1),
+                fmt_f(spread.min, 1),
+                fmt_f(spread.max, 1),
                 fmt_f(*speedup, 3),
                 if i + 1 < results.len() { "," } else { "" }
             );

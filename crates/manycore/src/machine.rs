@@ -25,9 +25,7 @@ use ruche_phys::{EnergyModel, Tech};
 use ruche_stats::Accum;
 use ruche_telemetry::{Prefixed, Probe};
 use serde::{Deserialize, Serialize};
-// lint:allow(hash-order): the intrinsic-latency memo is lookup-only; no
-// machine statistic is derived by iterating it.
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Full-system configuration.
@@ -320,25 +318,31 @@ fn run_inner(
         .collect();
     let mut bank_q: Vec<VecDeque<Pending>> = vec![VecDeque::new(); bankmap.banks() as usize];
     let mut server_q: Vec<VecDeque<Pending>> = vec![VecDeque::new(); n_tiles];
-    let mut intrinsic_cache: HashMap<u64, u32> = HashMap::new();
+    // Memo of `intrinsic_of`, indexed `requester * origins + origin`, where
+    // an origin is a bank id or `banks + tile`; 0 means unset (a round trip
+    // takes at least one cycle).
+    let origins = bankmap.banks() as usize + n_tiles;
+    let mut intrinsic_cache = vec![0u32; n_tiles * origins];
     let mut lat = LatencySplit::default();
     let mut next_id = 0u64;
     let mut cycle = 0u64;
+    // One ejection buffer for both networks, reused every cycle.
+    let mut ejected: Vec<(EndpointId, Flit)> = Vec::new();
 
     // Zero-load latency of a request/response round trip, memoized.
     let intrinsic_of = |requester: Coord,
                         origin_bank: Option<u32>,
                         origin_tile: Option<Coord>,
-                        cache: &mut HashMap<u64, u32>|
+                        cache: &mut [u32]|
      -> u32 {
-        let key = (dims.index(requester) as u64) << 32
-            | match (origin_bank, origin_tile) {
-                (Some(b), None) => 1u64 << 31 | b as u64,
-                (None, Some(t)) => dims.index(t) as u64,
-                _ => unreachable!("exactly one origin"),
-            };
-        if let Some(&v) = cache.get(&key) {
-            return v;
+        let origin = match (origin_bank, origin_tile) {
+            (Some(b), None) => b as usize,
+            (None, Some(t)) => bankmap.banks() as usize + dims.index(t),
+            _ => unreachable!("exactly one origin"),
+        };
+        let key = dims.index(requester) * origins + origin;
+        if cache[key] != 0 {
+            return cache[key];
         }
         let v = match (origin_bank, origin_tile) {
             (Some(bank), None) => {
@@ -364,7 +368,8 @@ fn run_inner(
             }
             _ => unreachable!(),
         };
-        cache.insert(key, v);
+        debug_assert!(v >= 1, "a round trip takes at least one cycle");
+        cache[key] = v;
         v
     };
 
@@ -421,8 +426,9 @@ fn run_inner(
         }
 
         // 2. Step the request network; ejections land at banks or servers.
-        let req_ejected = req.step().to_vec();
-        for (ep, f) in req_ejected {
+        ejected.clear();
+        ejected.extend_from_slice(req.step());
+        for &(ep, f) in &ejected {
             let (kind, requester) = decode_payload(f.payload);
             let pending = Pending {
                 ready: cycle + sys.llc_latency as u64,
@@ -446,8 +452,9 @@ fn run_inner(
 
         // 3. Step the response network; deliveries wake the cores and are
         //    measured.
-        let resp_ejected = resp.step().to_vec();
-        for (ep, f) in resp_ejected {
+        ejected.clear();
+        ejected.extend_from_slice(resp.step());
+        for &(ep, f) in &ejected {
             let EndpointKind::Tile(c) = resp.endpoint_kind(ep) else {
                 unreachable!("responses terminate at tiles");
             };
@@ -471,12 +478,12 @@ fn run_inner(
         }
 
         // 4. Cores execute.
-        #[allow(clippy::needless_range_loop)] // `idx` also derives coords and endpoints
-        for idx in 0..n_tiles {
-            let c = dims.coord(idx);
-            let ep = req.tile_endpoint(c);
+        for (idx, core) in cores.iter_mut().enumerate() {
+            // Tile endpoints are numbered like tiles, row-major.
+            let ep = EndpointId(idx);
             let can_issue = req.source_len(ep) < sys.nic_depth;
-            if let CoreAction::Issue(mreq) = cores[idx].tick(can_issue) {
+            if let CoreAction::Issue(mreq) = core.tick(can_issue) {
+                let c = dims.coord(idx);
                 let (dest, kind) = match mreq {
                     MemRequest::Load(a) => (bankmap.dest(ipoly.bank(a)), ReqKind::Load),
                     MemRequest::Store(a) => (bankmap.dest(ipoly.bank(a)), ReqKind::Store),

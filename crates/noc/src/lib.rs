@@ -48,10 +48,8 @@ pub mod arbiter;
 pub mod crossbar;
 pub mod error;
 pub mod fault;
-pub mod fifo;
 pub mod geometry;
 pub mod packet;
-pub mod router;
 pub mod routing;
 pub mod sim;
 pub mod telemetry;

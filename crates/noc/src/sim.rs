@@ -12,6 +12,12 @@
 //! having space. VC routers (torus) use ready-then-valid with credit-based
 //! flow control and a wavefront switch allocator; credits return with a
 //! one-cycle latency, which the two-element FIFOs exactly cover.
+//!
+//! All router state lives in flat per-network arrays indexed by the
+//! channel *slot* `(node * np + port) * max_vcs + vc` (or by `node * np +
+//! port` for per-port state): input FIFOs are fixed-depth rings in one flit
+//! slab, and the worklists of busy routers and sources are bitsets whose
+//! set bits iterate in ascending order, the deterministic plan order.
 
 use crate::arbiter::{RoundRobin, Wavefront};
 use crate::crossbar::Connectivity;
@@ -19,7 +25,6 @@ use crate::error::Error;
 use crate::fault::{FaultModel, RouteTable};
 use crate::geometry::{Coord, Dir};
 use crate::packet::Flit;
-use crate::router::Router;
 use crate::routing::{compute_route, Dest};
 use crate::telemetry::{BlockCause, NetTelemetry};
 use crate::topology::{ConfigError, NetworkConfig, StepMode};
@@ -68,8 +73,9 @@ pub enum EndpointKind {
 /// Where an output channel leads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkTarget {
-    /// Another router's input port.
-    Router { node: usize, port: usize },
+    /// Another router's input port: its node, and its (node, port) index
+    /// `node * np + port`.
+    Router { node: u32, input: u32 },
     /// An endpoint sink (P ejection, or an edge memory endpoint).
     Endpoint(EndpointId),
     /// Tied off (array edge).
@@ -83,6 +89,124 @@ struct NetStats {
     injected: u64,
     /// Flits delivered to endpoint sinks.
     ejected: u64,
+}
+
+/// A worklist of indices below a fixed bound, as a bitset: membership is
+/// one bit, and the members iterate in ascending order without sorting.
+#[derive(Debug, Clone)]
+struct BitSet {
+    words: Vec<u64>,
+    /// Members, so emptiness is O(1).
+    len: usize,
+}
+
+impl BitSet {
+    fn new(bound: usize) -> Self {
+        BitSet {
+            words: vec![0; bound.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.len += 1;
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if self.words[w] & bit != 0 {
+            self.words[w] &= !bit;
+            self.len -= 1;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word).map(move |b| w * 64 + b))
+    }
+}
+
+/// The positions of the set bits of `word`, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+/// Every router input FIFO of a network: one fixed-depth ring per channel
+/// slot, all in one flit slab, with a `u8` head and length per slot.
+#[derive(Debug, Clone)]
+struct Fifos {
+    /// `depth` flits per slot; only the `len` entries from `head` (mod
+    /// `depth`) are live.
+    buf: Vec<Flit>,
+    head: Vec<u8>,
+    len: Vec<u8>,
+    depth: usize,
+}
+
+impl Fifos {
+    fn new(slots: usize, depth: usize) -> Self {
+        // `NetworkConfig::validate` guarantees the depth fits the `u8`s.
+        assert!((1..=NetworkConfig::MAX_FIFO_DEPTH).contains(&depth));
+        // The filler is never read: a slot's flits are read only while live.
+        let filler = Flit::single(Coord::new(0, 0), Dest::tile(Coord::new(0, 0)), 0, 0);
+        Fifos {
+            buf: vec![filler; slots * depth],
+            head: vec![0; slots],
+            len: vec![0; slots],
+            depth,
+        }
+    }
+
+    #[inline]
+    fn len(&self, s: usize) -> usize {
+        self.len[s] as usize
+    }
+
+    #[inline]
+    fn head(&self, s: usize) -> Option<&Flit> {
+        (self.len[s] > 0).then(|| &self.buf[s * self.depth + self.head[s] as usize])
+    }
+
+    /// Pushes to the tail of slot `s`, or returns the flit if it is full.
+    #[inline]
+    fn try_push(&mut self, s: usize, flit: Flit) -> Result<(), Flit> {
+        let len = self.len[s] as usize;
+        if len == self.depth {
+            return Err(flit);
+        }
+        let at = (self.head[s] as usize + len) % self.depth;
+        self.buf[s * self.depth + at] = flit;
+        self.len[s] += 1;
+        Ok(())
+    }
+
+    #[inline]
+    fn pop(&mut self, s: usize) -> Option<Flit> {
+        let flit = *self.head(s)?;
+        self.head[s] = ((self.head[s] as usize + 1) % self.depth) as u8;
+        self.len[s] -= 1;
+        Some(flit)
+    }
 }
 
 /// A versioned, point-in-time view of the aggregate simulation state.
@@ -205,9 +329,31 @@ pub struct Network {
     cfg: NetworkConfig,
     ports: Vec<Dir>,
     conn: Connectivity,
-    routers: Vec<Router>,
+    /// VC count per port index (the same at every router).
+    port_vcs: Vec<u8>,
+    /// Router coordinate per node.
+    coords: Vec<Coord>,
+    /// Input FIFOs, per channel slot.
+    fifos: Fifos,
+    /// Route assignment (output port, output VC) of the packet in progress
+    /// per input slot: set by its head, cleared by its tail.
+    assigned: Vec<Option<(u8, u8)>>,
+    /// Wormhole path lock per (node, output port): the input port that owns
+    /// the output until its packet's tail passes.
+    lock: Vec<Option<u8>>,
+    /// Owner (input port, input VC) of each output slot's downstream VC for
+    /// a multi-flit packet in progress (VC routers).
+    vc_owner: Vec<Option<(u8, u8)>>,
+    /// Downstream credits per output slot (meaningful where `counted`).
+    credits: Vec<u8>,
+    /// Whether each (node, output port) tracks credits: false for endpoint
+    /// sinks, which always accept one flit per cycle.
+    counted: Vec<bool>,
+    /// Where each (node, output port) leads.
     out_links: Vec<LinkTarget>,
-    upstream: Vec<Option<(usize, usize)>>,
+    /// The (node, output port) index feeding each (node, input port) from
+    /// another router, which the input returns credits to.
+    upstream: Vec<Option<u32>>,
     /// Per-endpoint unbounded source queue (open-loop injection model).
     sources: Vec<VecDeque<Flit>>,
     /// Per-endpoint injection entry point: (node, input port).
@@ -219,40 +365,35 @@ pub struct Network {
     last_progress: u64,
     /// Flit counts per (node, output port), for the energy model.
     traversals: Vec<u64>,
-    /// Flits buffered per router (lets the planner skip idle routers).
-    occupancy: Vec<u32>,
+    /// Per router, one bit per non-empty input FIFO, at bit `port *
+    /// max_vcs + vc`: the planners visit only these inputs, and a router
+    /// is on the `active` worklist exactly while its mask is non-zero.
+    busy: Vec<u32>,
     /// Cached route decision for the current head of each (node, port, vc)
     /// FIFO, invalidated on dequeue — route compute runs once per head,
     /// not once per cycle it waits.
-    route_cache: Vec<Option<(usize, u8)>>,
+    route_cache: Vec<Option<(u8, u8)>>,
     max_vcs: usize,
     /// Flits in flight through extra pipeline stages, in arrival order:
-    /// (arrival cycle, node, port, vc, flit). Empty when
+    /// (arrival cycle, node, slot, flit). Empty when
     /// `pipeline_stages == 0`.
-    in_transit: VecDeque<(u64, usize, usize, usize, Flit)>,
+    in_transit: VecDeque<(u64, usize, usize, Flit)>,
     /// Delayed ejections (pipelined networks).
     in_transit_eject: VecDeque<(u64, EndpointId, Flit)>,
-    /// Flits bound for each (node, port, vc) FIFO but still in the
-    /// pipeline; counted against downstream space by wormhole ready checks.
+    /// Flits bound for each slot's FIFO but still in the pipeline; counted
+    /// against downstream space by wormhole ready checks.
     pending_arrivals: Vec<u32>,
     /// Routers with at least one buffered flit, the only ones the planners
-    /// visit. Kept sorted ascending (deterministic plan order); membership
-    /// mirrored in `on_active`.
-    active: Vec<u32>,
-    on_active: Vec<bool>,
-    /// Set when `active` gained members since its last sort.
-    active_dirty: bool,
+    /// visit, in ascending node order.
+    active: BitSet,
     /// Endpoints with a non-empty source queue, the only ones the injection
-    /// planner visits. Same sorted-worklist discipline as `active`.
-    active_src: Vec<u32>,
-    on_active_src: Vec<bool>,
-    active_src_dirty: bool,
+    /// planner visits.
+    active_src: BitSet,
     /// Endpoints planned to inject this cycle (reusable scratch; the cycle
     /// loop performs no heap allocation in steady state).
     scratch_inject: Vec<u32>,
-    /// Wormhole round-robin arbiters, one per (node, output port). Lives
-    /// outside [`Router`] so the plan phase can mutate arbiter state while
-    /// reading all routers immutably. Empty for VC networks.
+    /// Wormhole round-robin arbiters, one per (node, output port). Empty
+    /// for VC networks.
     out_rr: Vec<RoundRobin>,
     /// VC-router per-input VC selectors, one per (node, input port).
     /// Empty for wormhole networks.
@@ -362,8 +503,11 @@ impl Network {
                 if let Some(nb) = cfg.neighbor(c, dir) {
                     let dn = dims.index(nb);
                     let dp = pidx(dir.opposite());
-                    out_links[slot] = LinkTarget::Router { node: dn, port: dp };
-                    upstream[dn * np + dp] = Some((node, op));
+                    out_links[slot] = LinkTarget::Router {
+                        node: dn as u32,
+                        input: (dn * np + dp) as u32,
+                    };
+                    upstream[dn * np + dp] = Some(slot as u32);
                 } else if cfg.edge_memory_ports {
                     if dir == Dir::N && c.y == 0 {
                         let ep = EndpointId(n_nodes + c.x as usize);
@@ -378,20 +522,14 @@ impl Network {
             }
         }
 
-        let routers: Vec<Router> = dims
+        let slots = n_nodes * np * max_vcs;
+        assert!(np * max_vcs <= 32, "a router's input FIFOs fit a u32 mask");
+        let port_vcs: Vec<u8> = ports.iter().map(|&p| cfg.vcs(p) as u8).collect();
+        // Only router links count credits.
+        let counted: Vec<bool> = out_links
             .iter()
-            .map(|c| {
-                let node = dims.index(c);
-                let counted: Vec<bool> = (0..np)
-                    .map(|op| matches!(out_links[node * np + op], LinkTarget::Router { .. }))
-                    .collect();
-                Router::new(&cfg, c, &ports, &counted)
-            })
+            .map(|t| matches!(t, LinkTarget::Router { .. }))
             .collect();
-
-        // Arbiter and allocator state lives in per-node arrays parallel to
-        // `routers` (see `crate::router`): the plan phase mutates only the
-        // arbiters while reading every router immutably.
         let is_vc = cfg.is_vc_router();
         let out_rr: Vec<RoundRobin> = if is_vc {
             Vec::new()
@@ -414,7 +552,16 @@ impl Network {
         Ok(Network {
             ports,
             conn,
-            routers,
+            port_vcs,
+            coords: dims.iter().collect(),
+            fifos: Fifos::new(slots, cfg.fifo_depth),
+            assigned: vec![None; slots],
+            lock: vec![None; n_nodes * np],
+            vc_owner: vec![None; slots],
+            // A downstream input mirrors its feeding output's direction
+            // class, so each output slot starts with one FIFO of credit.
+            credits: vec![cfg.fifo_depth as u8; slots],
+            counted,
             out_links,
             upstream,
             sources: vec![VecDeque::new(); n_eps],
@@ -425,18 +572,14 @@ impl Network {
             in_flight: 0,
             last_progress: 0,
             traversals: vec![0; n_nodes * np],
-            occupancy: vec![0; n_nodes],
-            route_cache: vec![None; n_nodes * np * max_vcs],
+            busy: vec![0; n_nodes],
+            route_cache: vec![None; slots],
             max_vcs,
             in_transit: VecDeque::new(),
             in_transit_eject: VecDeque::new(),
-            pending_arrivals: vec![0; n_nodes * np * max_vcs],
-            active: Vec::with_capacity(n_nodes),
-            on_active: vec![false; n_nodes],
-            active_dirty: false,
-            active_src: Vec::with_capacity(n_eps),
-            on_active_src: vec![false; n_eps],
-            active_src_dirty: false,
+            pending_arrivals: vec![0; slots],
+            active: BitSet::new(n_nodes),
+            active_src: BitSet::new(n_eps),
             scratch_inject: Vec::with_capacity(n_eps),
             out_rr,
             in_rr_vc,
@@ -529,28 +672,16 @@ impl Network {
         debug_assert!(self.next_event_cycle().is_none_or(|t| t >= self.cycle + n));
         self.ejected.clear();
         if let Some(t) = self.telemetry.as_deref_mut() {
-            let np = self.ports.len();
-            for node in 0..self.routers.len() {
-                for ip in 0..np {
-                    for (v, f) in self.routers[node].inputs[ip].vcs.iter().enumerate() {
-                        debug_assert!(f.is_empty(), "idle span with a buffered flit");
-                        t.record_occupancy_n(node, ip, v, f.len() as u64, n);
+            for node in 0..self.coords.len() {
+                for (ip, &vcs) in self.port_vcs.iter().enumerate() {
+                    for v in 0..vcs as usize {
+                        t.record_occupancy_n(node, ip, v, 0, n);
                     }
                 }
             }
             t.record_idle_cycles(n);
         }
         self.cycle += n;
-    }
-
-    /// Puts `node` on the planners' worklist (no-op if already there).
-    #[inline]
-    fn mark_active(&mut self, node: usize) {
-        if !self.on_active[node] {
-            self.on_active[node] = true;
-            self.active.push(node as u32);
-            self.active_dirty = true;
-        }
     }
 
     /// The network configuration.
@@ -669,11 +800,7 @@ impl Network {
             "flit enqueued at dead endpoint {ep:?}; check Network::endpoint_alive first"
         );
         self.sources[ep.0].push_back(flit);
-        if !self.on_active_src[ep.0] {
-            self.on_active_src[ep.0] = true;
-            self.active_src.push(ep.0 as u32);
-            self.active_src_dirty = true;
-        }
+        self.active_src.insert(ep.0);
     }
 
     /// Number of flits waiting in `ep`'s source queue.
@@ -723,14 +850,9 @@ impl Network {
             .front()
             .is_some_and(|&(arrive, ..)| arrive <= self.cycle)
         {
-            let (_, node, port, vc, flit) = self.in_transit.pop_front().expect("checked front");
-            let np = self.ports.len();
-            self.pending_arrivals[(node * np + port) * self.max_vcs + vc] -= 1;
-            self.routers[node].inputs[port].vcs[vc]
-                .try_push(flit)
-                .expect("pipeline arrivals have reserved space");
-            self.occupancy[node] += 1;
-            self.mark_active(node);
+            let (_, node, slot, flit) = self.in_transit.pop_front().expect("checked front");
+            self.pending_arrivals[slot] -= 1;
+            self.push_input(node, slot, flit);
             arrived_any = true;
         }
         while self
@@ -747,29 +869,20 @@ impl Network {
         if arrived_any {
             self.last_progress = self.cycle;
         }
-        // Worklists stay sorted ascending so the plan (and hence ejection)
-        // order is identical to a full node scan.
-        if self.active_dirty {
-            self.active.sort_unstable();
-            self.active_dirty = false;
-        }
-        if self.active_src_dirty {
-            self.active_src.sort_unstable();
-            self.active_src_dirty = false;
-        }
 
         // Plan injections against cycle-start occupancy. Only endpoints
-        // with queued flits are visited.
+        // with queued flits are visited, in ascending order; an empty
+        // worklist skips even the scan of its words.
         self.scratch_inject.clear();
-        let srcs = std::mem::take(&mut self.active_src);
-        for &e in &srcs {
-            let (node, ip) = self.entries[e as usize];
-            let f = &self.routers[node].inputs[ip].vcs[0];
-            if f.len() < f.capacity() {
-                self.scratch_inject.push(e);
+        if !self.active_src.is_empty() {
+            for e in self.active_src.iter() {
+                let (node, ip) = self.entries[e];
+                let slot = (node * self.ports.len() + ip) * self.max_vcs;
+                if self.fifos.len(slot) < self.fifos.depth {
+                    self.scratch_inject.push(e as u32);
+                }
             }
         }
-        self.active_src = srcs;
 
         // The instrument is moved out for the duration of the cycle so the
         // phases can borrow it mutably alongside `self`.
@@ -777,8 +890,7 @@ impl Network {
 
         // Empty wake-set fast path: when no router buffers a flit there is
         // nothing to plan or commit. Both phases are exact no-ops over an
-        // empty worklist, so the skip is taken in every step mode without
-        // changing any result.
+        // empty worklist, so the skip changes no result.
         let progressed = if self.active.is_empty() {
             false
         } else {
@@ -787,7 +899,7 @@ impl Network {
             self.plan(tel.as_deref_mut());
             if let Some(t) = tel.as_deref_mut() {
                 for tr in &self.transfers {
-                    t.record_traversal(tr.node, tr.out_port, tr.out_vc);
+                    t.record_traversal(tr.node as usize, tr.out_port as usize, tr.out_vc as usize);
                 }
             }
             let progressed = !self.transfers.is_empty();
@@ -796,56 +908,33 @@ impl Network {
             progressed
         };
 
-        // Commit injections.
-        let planned = std::mem::take(&mut self.scratch_inject);
-        let injected_any = !planned.is_empty();
-        for &e in &planned {
-            let (node, ip) = self.entries[e as usize];
-            let flit = self.sources[e as usize]
-                .pop_front()
-                .expect("planned non-empty");
-            self.routers[node].inputs[ip].vcs[0]
-                .try_push(flit)
-                .expect("space checked at cycle start");
-            self.occupancy[node] += 1;
-            self.mark_active(node);
+        // Commit injections; drained sources leave the worklist.
+        let injected_any = !self.scratch_inject.is_empty();
+        for i in 0..self.scratch_inject.len() {
+            let e = self.scratch_inject[i] as usize;
+            let (node, ip) = self.entries[e];
+            let flit = self.sources[e].pop_front().expect("planned non-empty");
+            if self.sources[e].is_empty() {
+                self.active_src.remove(e);
+            }
+            self.push_input(node, (node * self.ports.len() + ip) * self.max_vcs, flit);
             self.stats.injected += 1;
             self.in_flight += 1;
         }
-        self.scratch_inject = planned;
         if progressed || injected_any {
             self.last_progress = self.cycle;
         }
 
-        // Retire drained routers and sources from the worklists.
-        let mut active = std::mem::take(&mut self.active);
-        active.retain(|&n| {
-            let keep = self.occupancy[n as usize] > 0;
-            if !keep {
-                self.on_active[n as usize] = false;
-            }
-            keep
-        });
-        self.active = active;
-        let mut srcs = std::mem::take(&mut self.active_src);
-        srcs.retain(|&e| {
-            let keep = !self.sources[e as usize].is_empty();
-            if !keep {
-                self.on_active_src[e as usize] = false;
-            }
-            keep
-        });
-        self.active_src = srcs;
-
         // End-of-cycle telemetry: sample every input-FIFO occupancy and
         // close the cycle's injection/ejection bins.
         if let Some(t) = tel.as_deref_mut() {
-            let np = self.ports.len();
-            for node in 0..self.routers.len() {
-                for ip in 0..np {
-                    for (v, f) in self.routers[node].inputs[ip].vcs.iter().enumerate() {
-                        t.record_occupancy(node, ip, v, f.len() as u64);
+            let mut slot = 0;
+            for node in 0..self.coords.len() {
+                for (ip, &vcs) in self.port_vcs.iter().enumerate() {
+                    for v in 0..vcs as usize {
+                        t.record_occupancy(node, ip, v, self.fifos.len(slot + v) as u64);
                     }
+                    slot += self.max_vcs;
                 }
             }
             t.record_cycle(self.scratch_inject.len() as u64, self.ejected.len() as u64);
@@ -870,9 +959,34 @@ impl Network {
         }
     }
 
+    /// Pushes `flit` into input slot `slot` of router `node`, whose space
+    /// flow control reserved, and puts the router on the worklist.
+    #[inline]
+    fn push_input(&mut self, node: usize, slot: usize, flit: Flit) {
+        self.fifos
+            .try_push(slot, flit)
+            .expect("flow control reserved space for the flit");
+        self.busy[node] |= 1 << (slot - node * self.ports.len() * self.max_vcs);
+        self.active.insert(node);
+    }
+
+    /// Pops the head of input slot `slot` of router `node`; a router whose
+    /// inputs all drain leaves the worklist.
+    #[inline]
+    fn pop_input(&mut self, node: usize, slot: usize) -> Flit {
+        let flit = self.fifos.pop(slot).expect("planned transfer has a flit");
+        if self.fifos.len(slot) == 0 {
+            self.busy[node] &= !(1 << (slot - node * self.ports.len() * self.max_vcs));
+            if self.busy[node] == 0 {
+                self.active.remove(node);
+            }
+        }
+        flit
+    }
+
     /// Phase A: plans route/VC/switch grants for every active router into
-    /// `self.transfers`, in ascending node order. Planning reads every
-    /// router immutably and mutates only arbiter state, route caches and
+    /// `self.transfers`, in ascending node order. Planning reads the router
+    /// state immutably and mutates only arbiter state, route caches and
     /// scratch, so each decision observes exactly the cycle-start state.
     /// Blocked-request telemetry is recorded as it is decided.
     fn plan(&mut self, tel: Option<&mut NetTelemetry>) {
@@ -880,10 +994,17 @@ impl Network {
             cfg,
             ports,
             conn,
-            routers,
+            port_vcs,
+            coords,
+            fifos,
+            assigned,
+            lock,
+            vc_owner,
+            credits,
+            counted,
             out_links,
             pending_arrivals,
-            occupancy,
+            busy,
             fault_plan,
             max_vcs,
             active,
@@ -899,10 +1020,17 @@ impl Network {
             cfg,
             ports,
             conn,
-            routers,
+            port_vcs,
+            coords,
+            fifos,
+            assigned,
+            lock,
+            vc_owner,
+            credits,
+            counted,
             out_links,
             pending_arrivals,
-            occupancy,
+            busy,
             fault_plan: fault_plan.as_deref(),
             max_vcs: *max_vcs,
         };
@@ -927,68 +1055,66 @@ impl Network {
     /// most one transfer exists per (node, input port) and per (node,
     /// output port), and every grant was checked against cycle-start
     /// space, so applying them one by one reproduces the synchronous
-    /// two-phase update.
+    /// two-phase update. Routers that drain leave the worklist.
     fn commit(&mut self) {
         let np = self.ports.len();
+        let vcs = self.max_vcs;
         let stages = self.cfg.pipeline_stages;
-        let transfers = std::mem::take(&mut self.transfers);
-        for t in &transfers {
-            let flit = self.routers[t.node].inputs[t.in_port].vcs[t.in_vc]
-                .pop()
-                .expect("planned transfer has a flit");
-            self.occupancy[t.node] -= 1;
-            self.route_cache[(t.node * np + t.in_port) * self.max_vcs + t.in_vc] = None;
+        for i in 0..self.transfers.len() {
+            let t = self.transfers[i];
+            let node = t.node as usize;
+            let (in_port, in_vc) = (t.in_port as usize, t.in_vc as usize);
+            let (out_port, out_vc) = (t.out_port as usize, t.out_vc as usize);
+            let in_slot = (node * np + in_port) * vcs + in_vc;
+            let out = node * np + out_port;
+            let out_slot = out * vcs + out_vc;
+
+            let flit = self.pop_input(node, in_slot);
+            self.route_cache[in_slot] = None;
 
             // Path bookkeeping.
-            {
-                let r = &mut self.routers[t.node];
-                if flit.kind.is_head() && !flit.kind.is_tail() {
-                    r.outputs[t.out_port].lock = Some(t.in_port);
-                    r.outputs[t.out_port].vc_owner[t.out_vc] = Some((t.in_port, t.in_vc));
-                    r.inputs[t.in_port].assigned[t.in_vc] = Some((t.out_port, t.out_vc as u8));
-                } else if flit.kind.is_tail() && !flit.kind.is_head() {
-                    r.outputs[t.out_port].lock = None;
-                    r.outputs[t.out_port].vc_owner[t.out_vc] = None;
-                    r.inputs[t.in_port].assigned[t.in_vc] = None;
-                }
-                if r.outputs[t.out_port].counted {
-                    let cdt = &mut r.outputs[t.out_port].credits[t.out_vc];
-                    debug_assert!(*cdt > 0, "send without credit");
-                    *cdt -= 1;
-                }
+            if flit.kind.is_head() && !flit.kind.is_tail() {
+                self.lock[out] = Some(t.in_port);
+                self.vc_owner[out_slot] = Some((t.in_port, t.in_vc));
+                self.assigned[in_slot] = Some((t.out_port, t.out_vc));
+            } else if flit.kind.is_tail() && !flit.kind.is_head() {
+                self.lock[out] = None;
+                self.vc_owner[out_slot] = None;
+                self.assigned[in_slot] = None;
+            }
+            if self.counted[out] {
+                debug_assert!(self.credits[out_slot] > 0, "send without credit");
+                self.credits[out_slot] -= 1;
             }
 
             // Credit return to whoever feeds this input (1-cycle latency
-            // falls out of the two-phase update).
-            if let Some((un, uo)) = self.upstream[t.node * np + t.in_port] {
-                let out = &mut self.routers[un].outputs[uo];
-                if out.counted {
-                    out.credits[t.in_vc] += 1;
-                    debug_assert!(out.credits[t.in_vc] as usize <= self.cfg.fifo_depth);
-                }
+            // falls out of the two-phase update). Router links always
+            // count credits.
+            if let Some(up) = self.upstream[node * np + in_port] {
+                let up = up as usize;
+                debug_assert!(self.counted[up]);
+                let cdt = &mut self.credits[up * vcs + in_vc];
+                *cdt += 1;
+                debug_assert!(*cdt as usize <= self.cfg.fifo_depth);
             }
 
-            self.traversals[t.node * np + t.out_port] += 1;
-            match self.out_links[t.node * np + t.out_port] {
-                LinkTarget::Router { node: dn, port: dp } => {
+            self.traversals[out] += 1;
+            match self.out_links[out] {
+                LinkTarget::Router { node: dn, input } => {
+                    let (dn, down_slot) = (dn as usize, input as usize * vcs + out_vc);
                     if stages == 0 {
-                        self.routers[dn].inputs[dp].vcs[t.out_vc]
-                            .try_push(flit)
-                            .expect("downstream space guaranteed by flow control");
-                        self.occupancy[dn] += 1;
-                        self.mark_active(dn);
+                        self.push_input(dn, down_slot, flit);
                     } else {
                         // Extra pipeline stages: the flit becomes visible
                         // downstream `stages` cycles later than a
                         // single-cycle hop would make it. Arrival cycles
                         // are uniform within a cycle, so the queue stays
                         // sorted by arrival.
-                        self.pending_arrivals[(dn * np + dp) * self.max_vcs + t.out_vc] += 1;
+                        self.pending_arrivals[down_slot] += 1;
                         self.in_transit.push_back((
                             self.cycle + 1 + stages as u64,
                             dn,
-                            dp,
-                            t.out_vc,
+                            down_slot,
                             flit,
                         ));
                     }
@@ -1009,7 +1135,6 @@ impl Network {
                 LinkTarget::None => unreachable!("transfer into a tied-off link"),
             }
         }
-        self.transfers = transfers;
         self.transfers.clear();
     }
 }
@@ -1018,11 +1143,11 @@ impl Network {
 /// `(node, in_port, in_vc)` to downstream of `(node, out_port)` on `out_vc`.
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
-    node: usize,
-    in_port: usize,
-    in_vc: usize,
-    out_port: usize,
-    out_vc: usize,
+    node: u32,
+    in_port: u8,
+    in_vc: u8,
+    out_port: u8,
+    out_vc: u8,
 }
 
 /// Per-router scratch the planners reuse for every node they visit (sized
@@ -1049,17 +1174,33 @@ impl PlanScratch {
 }
 
 /// Read-only state the plan phase shares: the cycle-start snapshot.
-/// Nothing mutates the routers until the commit phase.
+/// Nothing mutates the router state until the commit phase.
 struct PlanShared<'a> {
     cfg: &'a NetworkConfig,
     ports: &'a [Dir],
     conn: &'a Connectivity,
-    routers: &'a [Router],
+    port_vcs: &'a [u8],
+    coords: &'a [Coord],
+    fifos: &'a Fifos,
+    assigned: &'a [Option<(u8, u8)>],
+    lock: &'a [Option<u8>],
+    vc_owner: &'a [Option<(u8, u8)>],
+    credits: &'a [u8],
+    counted: &'a [bool],
     out_links: &'a [LinkTarget],
     pending_arrivals: &'a [u32],
-    occupancy: &'a [u32],
+    busy: &'a [u32],
     fault_plan: Option<&'a RouteTable>,
     max_vcs: usize,
+}
+
+impl PlanShared<'_> {
+    /// Whether output slot `(out * max_vcs + vc)` may send right now:
+    /// credit in hand, or an uncounted sink.
+    #[inline]
+    fn has_credit(&self, out: usize, vc: usize) -> bool {
+        !self.counted[out] || self.credits[out * self.max_vcs + vc] > 0
+    }
 }
 
 /// Mutable state the plan phase owns: arbiters, route caches, scratch,
@@ -1068,30 +1209,29 @@ struct PlanState<'a> {
     out_rr: &'a mut [RoundRobin],
     in_rr_vc: &'a mut [RoundRobin],
     sw_alloc: &'a mut [Wavefront],
-    route_cache: &'a mut [Option<(usize, u8)>],
+    route_cache: &'a mut [Option<(u8, u8)>],
     scratch: &'a mut PlanScratch,
     transfers: &'a mut Vec<Transfer>,
     tel: Option<&'a mut NetTelemetry>,
 }
 
-/// Route decision for the head of (node, ip, vc), memoized per head in the
-/// route cache.
+/// Route decision (output port, output VC) for the head `f` of input slot
+/// `slot` = (node, ip, vc), memoized per head in the route cache.
 #[inline]
 fn head_route(
     px: &PlanShared<'_>,
-    route_cache: &mut [Option<(usize, u8)>],
+    route_cache: &mut [Option<(u8, u8)>],
     node: usize,
     ip: usize,
     vc: usize,
+    slot: usize,
     f: &Flit,
 ) -> (usize, u8) {
-    let np = px.ports.len();
-    let slot = (node * np + ip) * px.max_vcs + vc;
-    if let Some(d) = route_cache[slot] {
-        return d;
+    if let Some((op, ovc)) = route_cache[slot] {
+        return (op as usize, ovc);
     }
     let d = if f.kind.is_head() {
-        let coord = px.routers[node].coord;
+        let coord = px.coords[node];
         let dec = if let Some(plan) = px.fault_plan {
             // Faulted network: all packets follow the deadlock-free
             // up*/down* table over the surviving channels.
@@ -1114,43 +1254,43 @@ fn head_route(
             .conn
             .port_index(dec.out)
             .expect("every routed direction appears in the connectivity port map");
-        (op, dec.out_vc)
+        (op as u8, dec.out_vc)
     } else {
-        px.routers[node].inputs[ip].assigned[vc].expect("body flit has a path")
+        px.assigned[slot].expect("body flit has a path")
     };
     route_cache[slot] = Some(d);
-    d
+    (d.0 as usize, d.1)
 }
 
 /// Wormhole plan: per-output round-robin arbitration qualified by
-/// downstream FIFO space (ready-valid-and). Only `active` routers are
-/// visited; all decisions observe cycle-start state (commits happen after
-/// planning), so the single pass is equivalent to the synchronous
-/// two-phase update.
-fn plan_wormhole(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
+/// downstream FIFO space (ready-valid-and). Only `active` routers, and in
+/// them only non-empty inputs and requested outputs, are visited; all
+/// decisions observe cycle-start state (commits happen after planning), so
+/// the single pass is equivalent to the synchronous two-phase update.
+/// Wormhole ports have one VC, so a port's slot is `node * np + port`.
+fn plan_wormhole(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
     let np = px.ports.len();
-    for &node in active {
-        let node = node as usize;
-        debug_assert!(px.occupancy[node] > 0, "idle router on the worklist");
+    debug_assert_eq!(px.max_vcs, 1);
+    for node in active.iter() {
+        debug_assert!(px.busy[node] != 0, "idle router on the worklist");
+        let base = node * np;
         // Per-output request masks (bit = input port), from each input
-        // head's memoized route decision.
-        c.scratch.req_mask.fill(0);
-        for ip in 0..np {
-            if let Some(f) = px.routers[node].inputs[ip].vcs[0].head().copied() {
-                let (op, _) = head_route(px, c.route_cache, node, ip, 0, &f);
-                c.scratch.req_mask[op] |= 1 << ip;
-            }
+        // head's memoized route decision; `outs` collects the outputs
+        // requested.
+        let mut outs = 0u32;
+        for ip in set_bits(u64::from(px.busy[node])) {
+            let f = px.fifos.head(base + ip).expect("busy input has a head");
+            let (op, _) = head_route(px, c.route_cache, node, ip, 0, base + ip, f);
+            c.scratch.req_mask[op] |= 1 << ip;
+            outs |= 1 << op;
         }
-        for op in 0..np {
-            let reqs = c.scratch.req_mask[op];
-            if reqs == 0 {
-                continue;
-            }
-            let ready = match px.out_links[node * np + op] {
-                LinkTarget::Router { node: dn, port: dp } => {
-                    let f = &px.routers[dn].inputs[dp].vcs[0];
-                    let pending = px.pending_arrivals[(dn * np + dp) * px.max_vcs] as usize;
-                    f.len() + pending < f.capacity()
+        for op in set_bits(u64::from(outs)) {
+            // Consume the mask, leaving it zeroed for the next router.
+            let reqs = std::mem::take(&mut c.scratch.req_mask[op]);
+            let ready = match px.out_links[base + op] {
+                LinkTarget::Router { input, .. } => {
+                    let ds = input as usize;
+                    px.fifos.len(ds) + (px.pending_arrivals[ds] as usize) < px.fifos.depth
                 }
                 LinkTarget::Endpoint(_) => true,
                 LinkTarget::None => false,
@@ -1160,23 +1300,19 @@ fn plan_wormhole(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
                     // The FIFO-space check above and the credit counter
                     // must agree, or NoCredit attribution silently lies.
                     debug_assert!(
-                        !px.routers[node].outputs[op].has_credit(0),
+                        !px.has_credit(base + op, 0),
                         "NoCredit stall recorded at node {node} port {op} \
                          while the output still holds credit"
                     );
-                    for ip in 0..np {
-                        if reqs & (1 << ip) != 0 {
-                            t.record_blocked(node, op, 0, BlockCause::NoCredit);
-                        }
+                    for _ in 0..reqs.count_ones() {
+                        t.record_blocked(node, op, 0, BlockCause::NoCredit);
                     }
                 }
                 continue;
             }
-            let lock = px.routers[node].outputs[op].lock;
-            let winner = if let Some(owner) = lock {
-                (reqs & (1 << owner) != 0).then_some(owner)
-            } else {
-                c.out_rr[node * np + op].pick_and_grant_mask(reqs)
+            let winner = match px.lock[base + op] {
+                Some(owner) => (reqs & (1 << owner) != 0).then_some(owner as usize),
+                None => c.out_rr[base + op].pick_and_grant_mask(reqs),
             };
             if let Some(t) = c.tel.as_deref_mut() {
                 // Output usable, but at most one requester proceeds;
@@ -1185,18 +1321,16 @@ fn plan_wormhole(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
                     Some(w) => reqs & !(1 << w),
                     None => reqs,
                 };
-                for ip in 0..np {
-                    if losers & (1 << ip) != 0 {
-                        t.record_blocked(node, op, 0, BlockCause::LostArbitration);
-                    }
+                for _ in 0..losers.count_ones() {
+                    t.record_blocked(node, op, 0, BlockCause::LostArbitration);
                 }
             }
             if let Some(ip) = winner {
                 c.transfers.push(Transfer {
-                    node,
-                    in_port: ip,
+                    node: node as u32,
+                    in_port: ip as u8,
                     in_vc: 0,
-                    out_port: op,
+                    out_port: op as u8,
                     out_vc: 0,
                 });
             }
@@ -1207,34 +1341,38 @@ fn plan_wormhole(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
 /// VC-router plan: ready-then-valid requests (credit-gated), one VC per
 /// input port, wavefront switch allocation. Only `active` routers are
 /// visited.
-fn plan_vc(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
+fn plan_vc(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
     let np = px.ports.len();
     let mut valid = [false; 8];
     let mut decision = [None::<(usize, u8)>; 8];
-    for &node in active {
-        let node = node as usize;
-        debug_assert!(px.occupancy[node] > 0, "idle router on the worklist");
+    for node in active.iter() {
+        let busy = px.busy[node];
+        debug_assert!(busy != 0, "idle router on the worklist");
         // Per-input request masks (bit = output port) for the wavefront
         // allocator.
         c.scratch.req_mask.fill(0);
         c.scratch.chosen.fill(None);
-        #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
         for ip in 0..np {
-            let n_vcs = px.routers[node].inputs[ip].vcs.len();
+            let n_vcs = px.port_vcs[ip] as usize;
+            if (busy >> (ip * px.max_vcs)) & ((1 << n_vcs) - 1) == 0 {
+                // Every VC of this input is empty: nothing to request.
+                continue;
+            }
+            let base = (node * np + ip) * px.max_vcs;
             for v in 0..n_vcs {
                 valid[v] = false;
                 decision[v] = None;
-                let Some(f) = px.routers[node].inputs[ip].vcs[v].head().copied() else {
+                let Some(f) = px.fifos.head(base + v) else {
                     continue;
                 };
-                let (op, out_vc) = head_route(px, c.route_cache, node, ip, v, &f);
+                let (op, out_vc) = head_route(px, c.route_cache, node, ip, v, base + v, f);
                 // Ready-then-valid: request only with credit in hand and
                 // the output VC free (or owned by this packet).
-                let out = &px.routers[node].outputs[op];
-                let credit_ok = out.has_credit(out_vc as usize);
-                let owner_ok = match out.vc_owner[out_vc as usize] {
+                let out = node * np + op;
+                let credit_ok = px.has_credit(out, out_vc as usize);
+                let owner_ok = match px.vc_owner[out * px.max_vcs + out_vc as usize] {
                     None => f.kind.is_head(),
-                    Some(owner) => owner == (ip, v),
+                    Some(owner) => owner == (ip as u8, v as u8),
                 };
                 if credit_ok && owner_ok {
                     valid[v] = true;
@@ -1276,11 +1414,11 @@ fn plan_vc(px: &PlanShared<'_>, active: &[u32], c: &mut PlanState<'_>) {
                 debug_assert_eq!(op, op2);
                 c.in_rr_vc[node * np + ip].grant(v);
                 c.transfers.push(Transfer {
-                    node,
-                    in_port: ip,
-                    in_vc: v,
-                    out_port: op,
-                    out_vc: out_vc as usize,
+                    node: node as u32,
+                    in_port: ip as u8,
+                    in_vc: v as u8,
+                    out_port: op as u8,
+                    out_vc,
                 });
             } else if let Some((_, op, out_vc)) = c.scratch.chosen[ip] {
                 // Chosen a VC and raised a request, but the wavefront
@@ -1659,5 +1797,149 @@ mod tests {
         let mut net = Network::new(cfg).expect("test config is valid");
         net.run(10);
         assert!(net.snapshot().cycles_since_progress >= 10);
+    }
+
+    fn flit(id: u64) -> Flit {
+        Flit::single(Coord::new(0, 0), Dest::tile(Coord::new(1, 0)), id, 0)
+    }
+
+    #[test]
+    fn ring_fifo_keeps_order_across_wraparound() {
+        let mut f = Fifos::new(3, 2);
+        for round in 0..3 {
+            f.try_push(1, flit(round)).expect("ring has space");
+            f.try_push(1, flit(round + 10)).expect("ring has space");
+            assert_eq!(f.len(1), 2);
+            assert_eq!(f.pop(1).map(|x| x.packet_id), Some(round));
+            // The next push lands past the end of the slot and wraps.
+            f.try_push(1, flit(round + 20)).expect("ring has space");
+            assert_eq!(f.head(1).map(|x| x.packet_id), Some(round + 10));
+            assert_eq!(f.pop(1).map(|x| x.packet_id), Some(round + 10));
+            assert_eq!(f.pop(1).map(|x| x.packet_id), Some(round + 20));
+            assert_eq!(f.pop(1), None);
+        }
+        assert!(
+            f.head(0).is_none() && f.head(2).is_none(),
+            "slots are separate"
+        );
+    }
+
+    #[test]
+    fn full_ring_rejects_a_push_and_returns_the_flit() {
+        let mut f = Fifos::new(1, 2);
+        f.try_push(0, flit(1)).expect("ring has space");
+        f.try_push(0, flit(2)).expect("ring has space");
+        assert_eq!(f.try_push(0, flit(3)), Err(flit(3)));
+        assert_eq!(f.len(0), 2);
+        assert_eq!(f.head(0).map(|x| x.packet_id), Some(1));
+    }
+
+    #[test]
+    fn torus_ring_ports_get_two_vcs_and_p_gets_one() {
+        let torus = Network::new(NetworkConfig::torus(Dims::new(4, 4))).expect("valid");
+        // Port order: P, N, S, E, W.
+        assert_eq!(torus.port_vcs, vec![1, 2, 2, 2, 2]);
+        assert_eq!(torus.max_vcs, 2);
+        let mesh = Network::new(NetworkConfig::mesh(Dims::new(4, 4))).expect("valid");
+        assert!(mesh.port_vcs.iter().all(|&v| v == 1));
+        assert_eq!(mesh.max_vcs, 1);
+    }
+
+    #[test]
+    fn credits_start_at_fifo_depth() {
+        for cfg in [
+            NetworkConfig::torus(Dims::new(4, 4)),
+            NetworkConfig::mesh(Dims::new(4, 4)).with_fifo_depth(3),
+        ] {
+            let depth = cfg.fifo_depth;
+            let net = Network::new(cfg).expect("valid");
+            let np = net.ports.len();
+            for out in 0..net.counted.len() {
+                for vc in 0..net.port_vcs[out % np] as usize {
+                    assert_eq!(net.credits[out * net.max_vcs + vc] as usize, depth);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uncounted_endpoint_sinks_always_have_credit() {
+        let cfg = NetworkConfig::mesh(Dims::new(4, 1));
+        let hops = crate::routing::route_hops(&cfg, Coord::new(0, 0), Coord::new(3, 0));
+        let mut net = Network::new(cfg).expect("valid");
+        let np = net.ports.len();
+        let p = net.ports.iter().position(|&d| d == Dir::P).expect("P port");
+        let e = net.ports.iter().position(|&d| d == Dir::E).expect("E port");
+        assert!(net.counted[e], "a router link counts credits");
+        for node in 0..4 {
+            assert!(!net.counted[node * np + p], "ejection is uncounted");
+            net.credits[node * np + p] = 0;
+        }
+        let src = Coord::new(0, 0);
+        net.enqueue(
+            net.tile_endpoint(src),
+            Flit::single(src, Dest::tile(Coord::new(3, 0)), 0, 0),
+        );
+        net.run(hops as u64 + 1);
+        assert_eq!(net.snapshot().ejected, 1, "zero credit never gates a sink");
+    }
+
+    #[test]
+    fn counted_outputs_without_credit_hold_the_flit() {
+        let mut net = Network::new(NetworkConfig::torus(Dims::new(4, 4))).expect("valid");
+        // Node 0's output slots come first: drain every credit there.
+        let node0 = net.ports.len() * net.max_vcs;
+        net.credits[..node0].fill(0);
+        let src = Coord::new(0, 0);
+        net.enqueue(
+            net.tile_endpoint(src),
+            Flit::single(src, Dest::tile(Coord::new(1, 1)), 0, 0),
+        );
+        net.run(20);
+        assert_eq!(net.snapshot().in_flight, 1, "no credit, no send");
+        assert_eq!(net.link_loads().raw().iter().sum::<u64>(), 0);
+        net.credits[..node0].fill(2);
+        net.run(20);
+        assert_eq!(net.snapshot().ejected, 1);
+    }
+
+    #[test]
+    fn bitset_iterates_members_in_ascending_order() {
+        let mut s = BitSet::new(200);
+        assert!(s.is_empty());
+        for i in [130, 3, 64, 199, 0, 63, 65] {
+            s.insert(i);
+        }
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![0, 3, 63, 64, 65, 130, 199]
+        );
+    }
+
+    #[test]
+    fn bitset_insert_twice_leaves_one_entry() {
+        let mut s = BitSet::new(10);
+        s.insert(7);
+        s.insert(7);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(s.len, 1);
+        s.remove(7);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn bitset_remove_clears_exactly_the_removed_entries() {
+        let mut s = BitSet::new(150);
+        for i in 0..150 {
+            s.insert(i);
+        }
+        for i in (0..150).filter(|i| i % 3 == 0) {
+            s.remove(i);
+        }
+        // Removing a non-member is a no-op.
+        s.remove(0);
+        let kept: Vec<usize> = (0..150).filter(|i| i % 3 != 0).collect();
+        assert_eq!(s.iter().collect::<Vec<_>>(), kept);
+        assert_eq!(s.len, kept.len());
     }
 }

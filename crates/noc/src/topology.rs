@@ -178,6 +178,11 @@ pub enum ConfigError {
     EdgePortsNeedOpenYAxis,
     /// Input FIFOs must hold at least one flit.
     ZeroFifoDepth,
+    /// Input FIFOs hold at most [`NetworkConfig::MAX_FIFO_DEPTH`] flits.
+    FifoTooDeep {
+        /// Configured depth.
+        depth: usize,
+    },
     /// A 1×1 array has no channels to route over; the analytics (mean
     /// hop counts, bisection ratios) are undefined on it. Degenerate
     /// *lines* (1×N / N×1) are supported; a single tile is not.
@@ -206,6 +211,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "north/south edge ports require a non-wraparound Y axis")
             }
             ConfigError::ZeroFifoDepth => write!(f, "input FIFO depth must be at least 1"),
+            ConfigError::FifoTooDeep { depth } => write!(
+                f,
+                "input FIFO depth {depth} exceeds the maximum of {}",
+                NetworkConfig::MAX_FIFO_DEPTH
+            ),
             ConfigError::SingleTile => {
                 write!(f, "a network needs at least two tiles (got a 1x1 array)")
             }
@@ -263,6 +273,9 @@ pub struct NetworkConfig {
 impl NetworkConfig {
     /// Default FIFO depth (two-element, §3.2).
     pub const DEFAULT_FIFO_DEPTH: usize = 2;
+    /// Largest accepted input-FIFO depth: the engine keeps each FIFO's
+    /// head and length in a byte.
+    pub const MAX_FIFO_DEPTH: usize = u8::MAX as usize;
     /// Default channel width used throughout the paper's area study.
     pub const DEFAULT_CHANNEL_BITS: u32 = 128;
 
@@ -387,6 +400,11 @@ impl NetworkConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.fifo_depth == 0 {
             return Err(ConfigError::ZeroFifoDepth);
+        }
+        if self.fifo_depth > Self::MAX_FIFO_DEPTH {
+            return Err(ConfigError::FifoTooDeep {
+                depth: self.fifo_depth,
+            });
         }
         if self.dims.count() < 2 {
             return Err(ConfigError::SingleTile);
@@ -1076,6 +1094,10 @@ mod tests {
         let mut cfg = NetworkConfig::mesh(Dims::new(4, 4));
         cfg.fifo_depth = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroFifoDepth));
+        cfg.fifo_depth = NetworkConfig::MAX_FIFO_DEPTH;
+        assert!(cfg.validate().is_ok());
+        cfg.fifo_depth = NetworkConfig::MAX_FIFO_DEPTH + 1;
+        assert_eq!(cfg.validate(), Err(ConfigError::FifoTooDeep { depth: 256 }));
     }
 
     #[test]
