@@ -9,21 +9,10 @@ fn main() {
         "Reproducing 'Evaluating Ruche Networks' (ISCA '25){}",
         if opts.quick { " [quick sweep]" } else { "" }
     );
-    // Source-invariant scan: `--lint-only` runs `ruche-lint` and stops,
-    // mirroring `--verify-only` (see also `cargo run -p ruche-lint`).
-    if opts.lint_only {
-        if !preflight::lint_invariants() {
-            std::process::exit(1);
-        }
-        return;
-    }
     // Prove every configuration deadlock-free before simulating any of
-    // them; `--verify-only` stops here (see also the `verify_net` bin).
+    // them (the `verify_net` bin runs this check on its own).
     if !preflight::verify_paper_grid() {
         std::process::exit(1);
-    }
-    if opts.verify_only {
-        return;
     }
     // The degradation sweep is its own mode: fault tolerance is orthogonal
     // to the paper's figures, and CI runs it as a separate job.

@@ -18,6 +18,12 @@
 //! `step_mode`; the file records the host's `available_parallelism` and
 //! the git revision it was built from (`null` outside a git checkout).
 //!
+//! **Kernel costs** (printed only) — ns per operation of the step kernel's
+//! building blocks in the forms `Network::step` calls them: route
+//! computation on a 16×16 Ruche3 depopulated array, the 5×5 wavefront
+//! switch allocator and a 9-input round-robin arbiter. Each is timed as
+//! warmup + 5 repeats and reported as min and median.
+//!
 //! Pass `--quick` to shorten the bursty workload and drop the Ruche row.
 
 use rand::rngs::SmallRng;
@@ -25,10 +31,12 @@ use rand::{Rng, SeedableRng};
 use ruche_bench::out::{banner, write_artifact};
 use ruche_bench::sweep::MODEL_VERSION;
 use ruche_bench::Opts;
+use ruche_noc::arbiter::{RoundRobin, Wavefront};
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
 use ruche_stats::fmt_f;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Traffic seed (fixed: the digest must be reproducible).
@@ -38,6 +46,8 @@ const SEED: u64 = 17;
 const DRIVERS: [(&str, bool); 2] = [("cycle", false), ("event", true)];
 /// Timed runs per point, after one untimed warmup run.
 const REPEATS: usize = 5;
+/// Operations per timed kernel-cost run.
+const KERNEL_OPS: u32 = 200_000;
 
 /// Simulation results that must not depend on the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,8 +327,61 @@ fn bench_modes(opts: &Opts) {
     write_artifact("BENCH_step_mode.json", &json);
 }
 
+/// Warmup + [`REPEATS`] timed runs of [`KERNEL_OPS`] calls to `op`
+/// (passed the call index); returns (min, median) ns per operation.
+fn ns_per_op(mut op: impl FnMut(u32)) -> (f64, f64) {
+    let mut run = || {
+        let start = Instant::now();
+        for i in 0..KERNEL_OPS {
+            op(i);
+        }
+        start.elapsed().as_secs_f64() * 1e9 / f64::from(KERNEL_OPS)
+    };
+    run();
+    let mut ns = [0.0f64; REPEATS];
+    for n in &mut ns {
+        *n = run();
+    }
+    ns.sort_by(f64::total_cmp);
+    (ns[0], ns[REPEATS / 2])
+}
+
+/// Prints the per-operation cost of route computation and the two allocators.
+fn bench_kernels() {
+    println!("-- kernel costs");
+    let cfg = NetworkConfig::full_ruche(Dims::new(16, 16), 3, CrossbarScheme::Depopulated);
+    let route = ns_per_op(|i| {
+        let i = (i * 7 % 256) as u16;
+        let here = Coord::new(i % 16, i / 16);
+        let dest = Dest::tile(Coord::new((i * 3) % 16, (i * 5) % 16));
+        black_box(compute_route(&cfg, black_box(here), Dir::P, 0, dest));
+    });
+    let mut wavefront = Wavefront::new(5, 5);
+    let mut grants = [None; 5];
+    let switch = ns_per_op(|_| {
+        wavefront.allocate_into(black_box(&[0b1_1111; 5]), &mut grants);
+        black_box(&grants);
+    });
+    let mut rr = RoundRobin::new(9);
+    let arbiter = ns_per_op(|_| {
+        black_box(rr.pick_and_grant_mask(black_box(0b1_1010_1101)));
+    });
+    for (name, (min, median)) in [
+        ("route_compute_ruche3_depop", route),
+        ("wavefront_5x5_full", switch),
+        ("round_robin_9", arbiter),
+    ] {
+        println!(
+            "   {name}: {} ns/op (min {})",
+            fmt_f(median, 1),
+            fmt_f(min, 1)
+        );
+    }
+}
+
 fn main() {
     let opts = Opts::from_env();
     banner("step_bench", "Network::step clock-advance comparison");
     bench_modes(&opts);
+    bench_kernels();
 }

@@ -11,12 +11,6 @@ pub struct Opts {
     pub threads: usize,
     /// Skip the on-disk sweep cache (`--no-cache` or `RUCHE_NO_CACHE=1`).
     pub no_cache: bool,
-    /// Run the static pre-flight verification and exit without sweeping
-    /// (`--verify-only` or `RUCHE_VERIFY_ONLY=1`).
-    pub verify_only: bool,
-    /// Run the `ruche-lint` invariant scan and exit without sweeping
-    /// (`--lint-only` or `RUCHE_LINT_ONLY=1`).
-    pub lint_only: bool,
     /// Capture per-link telemetry for one representative configuration per
     /// synthetic-traffic figure and write the JSON blobs under `results/`
     /// (`--telemetry` or `RUCHE_TELEMETRY=1`).
@@ -29,11 +23,9 @@ pub struct Opts {
 
 /// The on/off flags [`Opts::parse`] accepts. `--bench` is what `cargo
 /// bench` passes to `harness = false` targets; it selects nothing.
-const SWITCHES: [&str; 7] = [
+const SWITCHES: [&str; 5] = [
     "--quick",
     "--no-cache",
-    "--verify-only",
-    "--lint-only",
     "--telemetry",
     "--degradation",
     "--bench",
@@ -89,8 +81,6 @@ impl Opts {
             quick: flag("--quick", "RUCHE_QUICK"),
             threads,
             no_cache: flag("--no-cache", "RUCHE_NO_CACHE"),
-            verify_only: flag("--verify-only", "RUCHE_VERIFY_ONLY"),
-            lint_only: flag("--lint-only", "RUCHE_LINT_ONLY"),
             telemetry: flag("--telemetry", "RUCHE_TELEMETRY"),
             degradation: flag("--degradation", "RUCHE_DEGRADATION"),
         })
@@ -102,8 +92,6 @@ impl Opts {
             quick: false,
             threads: default_threads(),
             no_cache: false,
-            verify_only: false,
-            lint_only: false,
             telemetry: false,
             degradation: false,
         }
@@ -193,7 +181,12 @@ mod tests {
     fn unknown_flags_are_errors() {
         // A typo must not silently start the 20-minute full sweep, and a
         // removed flag must not be accepted as a no-op.
-        for (flag, value) in [("--quik", None), ("--step-threads", Some("2"))] {
+        for (flag, value) in [
+            ("--quik", None),
+            ("--step-threads", Some("2")),
+            ("--lint-only", None),
+            ("--verify-only", None),
+        ] {
             let mut args = vec!["repro", flag];
             args.extend(value);
             let err = Opts::parse(&strs(&args), NO_ENV).unwrap_err();
@@ -232,23 +225,5 @@ mod tests {
         assert!(ok(&strs(&["bench"]), env).degradation);
         assert!(!ok(&strs(&["bench"]), NO_ENV).degradation);
         assert!(!Opts::full().degradation);
-    }
-
-    #[test]
-    fn parses_lint_only() {
-        assert!(ok(&strs(&["bench", "--lint-only"]), NO_ENV).lint_only);
-        let env = |k: &str| (k == "RUCHE_LINT_ONLY").then(|| "1".to_string());
-        assert!(ok(&strs(&["bench"]), env).lint_only);
-        assert!(!ok(&strs(&["bench"]), NO_ENV).lint_only);
-        assert!(!Opts::full().lint_only);
-    }
-
-    #[test]
-    fn parses_verify_only() {
-        assert!(ok(&strs(&["bench", "--verify-only"]), NO_ENV).verify_only);
-        let env = |k: &str| (k == "RUCHE_VERIFY_ONLY").then(|| "1".to_string());
-        assert!(ok(&strs(&["bench"]), env).verify_only);
-        assert!(!ok(&strs(&["bench"]), NO_ENV).verify_only);
-        assert!(!Opts::full().verify_only);
     }
 }

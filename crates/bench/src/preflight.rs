@@ -10,38 +10,6 @@
 
 use ruche_verify::{grid, install_debug_hook, verify, Severity};
 
-/// Runs the `ruche-lint` invariant scan over the workspace sources,
-/// printing findings; returns whether the scan came back clean. The
-/// source-level complement of [`verify_paper_grid`]: that one proves the
-/// *configurations* sound, this one proves the *code* still honors the
-/// determinism contracts the artifacts depend on (`repro -- --lint-only`).
-pub fn lint_invariants() -> bool {
-    match ruche_lint::lint_workspace(&ruche_lint::workspace_root()) {
-        Ok(report) => {
-            for f in &report.findings {
-                eprintln!("{f}");
-            }
-            if report.is_clean() {
-                println!(
-                    "pre-flight: ruche-lint clean ({} file(s) scanned)",
-                    report.files_scanned
-                );
-                true
-            } else {
-                eprintln!(
-                    "pre-flight: FAILED — {} ruche-lint finding(s)",
-                    report.findings.len()
-                );
-                false
-            }
-        }
-        Err(e) => {
-            eprintln!("pre-flight: ruche-lint could not scan the workspace: {e}");
-            false
-        }
-    }
-}
-
 /// Verifies the full paper grid, printing a one-line summary (plus full
 /// reports for any configuration that is not error-free). Returns
 /// whether all configurations are free of error findings.
@@ -77,11 +45,6 @@ pub fn verify_paper_grid() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lint_preflight_passes_on_the_shipped_tree() {
-        assert!(lint_invariants());
-    }
 
     #[test]
     fn preflight_passes_on_the_shipped_grid() {

@@ -1,8 +1,7 @@
 //! The crash-safe concurrent sweep result store.
 //!
-//! Replaces the append-only `results/sweep_cache.tsv` as the keyed result
-//! backend shared by the sweep service daemon and the offline `repro`
-//! path. Design:
+//! The keyed result backend shared by the sweep service daemon and the
+//! offline `repro` path. Design:
 //!
 //! * **Sharded in-memory index.** Keys hash (FNV-1a) onto [`SHARDS`]
 //!   independently locked shards, so concurrent daemon connections never
@@ -72,7 +71,7 @@ fn fnv1a(key: &str) -> u64 {
 /// Writes `body` to `path` atomically: temporary file in the same
 /// directory, then rename. Readers see the old or the new file, never a
 /// prefix.
-fn write_atomic(path: &Path, body: &str) -> std::io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, body: &str) -> std::io::Result<()> {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     std::fs::write(&tmp, body)?;
     std::fs::rename(&tmp, path)
@@ -149,8 +148,8 @@ impl ResultStore {
         self.put_raw(key, res.to_wire().render());
     }
 
-    /// Stores pre-rendered value bytes under `key`. The migration path
-    /// and tests use this; `value` must be a single line of valid JSON.
+    /// Stores pre-rendered value bytes under `key`. Tests use this;
+    /// `value` must be a single line of valid JSON.
     pub fn put_raw(&self, key: &str, value: String) {
         debug_assert!(!key.contains(['\t', '\n']), "keys are single-line");
         debug_assert!(!value.contains('\n'), "values are single-line");
@@ -241,39 +240,6 @@ impl ResultStore {
             }
         }
     }
-
-    /// One-shot migration of a legacy `sweep_cache.tsv` into this store.
-    ///
-    /// Every legacy line that still parses is re-serialized as a
-    /// versioned store value under its original key; keys already present
-    /// in the store win over legacy ones. On success the legacy file is
-    /// renamed to `<path>.migrated`, so the migration runs exactly once
-    /// and an interrupted run can never truncate the original. Returns
-    /// the number of entries imported.
-    ///
-    /// (Legacy keys are `Debug`-rendered and therefore unreachable from
-    /// the canonical `SweepRequest` key space — they are preserved as
-    /// historical data, not rewritten, because the original structured
-    /// config cannot be reconstructed from a `Debug` string.)
-    pub fn migrate_legacy_tsv(&self, path: &Path) -> usize {
-        let Ok(body) = std::fs::read_to_string(path) else {
-            return 0;
-        };
-        let mut imported = 0;
-        for line in body.lines() {
-            if let Some((key, res)) = crate::sweep::SweepCache::parse_line(line) {
-                if self.get_raw(&key).is_none() {
-                    self.put_raw(&key, res.to_wire().render());
-                    imported += 1;
-                }
-            }
-        }
-        self.flush();
-        let mut renamed = path.as_os_str().to_os_string();
-        renamed.push(".migrated");
-        let _ = std::fs::rename(path, renamed);
-        imported
-    }
 }
 
 #[cfg(test)]
@@ -292,6 +258,23 @@ mod tests {
             .map(|i| fnv1a(&format!("key-{i}")) % SHARDS as u64)
             .collect();
         assert!(spread.len() > 1, "keys spread across shards");
+    }
+
+    #[test]
+    fn atomic_writes_replace_the_whole_file_and_leave_no_temporary() {
+        let dir = std::env::temp_dir().join(format!("ruche-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("cache.tsv");
+        std::fs::write(&path, "a much longer original body\nwith two lines\n").unwrap();
+        write_atomic(&path, "new\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new\n");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["cache.tsv"], "no .tmp. sibling left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::opts::Opts;
 use crate::out::results_dir;
+use crate::store::write_atomic;
 use ruche_manycore::prelude::*;
 use ruche_noc::prelude::*;
 // lint:allow(hash-order): the suite cache is keyed by config label and only
@@ -199,7 +200,8 @@ impl Suite {
     }
 
     /// Persists the cache. Merges with whatever is on disk first, so a
-    /// suite holding a subset of entries never erases another's work.
+    /// suite holding a subset of entries never erases another's work. The
+    /// write is atomic, so an interrupted run leaves the old file whole.
     pub fn save(&self) {
         if !self.persist {
             return;
@@ -212,7 +214,7 @@ impl Suite {
         for k in keys {
             let _ = writeln!(body, "{k}\t{}", merged[k].to_tsv());
         }
-        let _ = std::fs::write(Self::cache_path(), body);
+        let _ = write_atomic(&Self::cache_path(), &body);
     }
 
     /// Number of cached runs.

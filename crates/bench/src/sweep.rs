@@ -12,19 +12,13 @@
 //! `NetworkConfig` + `Testbench`, so any change to either parameter set —
 //! or a bumped model or key version — is a clean miss. Jobs that need
 //! per-tile latency data ([`SweepJob::with_per_tile`]) bypass the store,
-//! which persists scalar aggregates only. A legacy `sweep_cache.tsv` is
-//! migrated into the store once, on first use.
+//! which persists scalar aggregates only.
 
 use crate::opts::Opts;
-use crate::out::results_dir;
 use crate::store::ResultStore;
 use ruche_noc::prelude::*;
 use ruche_stats::Accum;
 use ruche_traffic::{CurvePoint, Pattern, SweepRequest, TbResult, Testbench};
-// lint:allow(hash-order): the legacy sweep cache is insert/lookup only;
-// every artifact writer sorts the merged keys before emitting a byte.
-use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -129,135 +123,6 @@ pub fn curve_point(res: &TbResult) -> CurvePoint {
     }
 }
 
-/// The **legacy** keyed on-disk result cache, persisted as TSV under
-/// `results/sweep_cache.tsv`.
-///
-/// Superseded by [`ResultStore`], which the runner and the sweep service
-/// now share; an existing TSV is migrated into the store once
-/// ([`ResultStore::migrate_legacy_tsv`]) and renamed away. The type stays
-/// for that migration and for downstream code that still links it; its
-/// `save` is now atomic (tmp + rename), so even the legacy path can no
-/// longer truncate the cache mid-write.
-///
-/// Follows the same discipline as `suite::Suite`: only instances created
-/// with [`SweepCache::load`] persist, so ad-hoc in-memory caches can never
-/// clobber the on-disk file with a partial view.
-#[derive(Debug, Default)]
-pub struct SweepCache {
-    entries: HashMap<String, TbResult>,
-    dirty: bool,
-    persist: bool,
-}
-
-impl SweepCache {
-    fn path() -> std::path::PathBuf {
-        results_dir().join("sweep_cache.tsv")
-    }
-
-    /// Loads the persisted cache (empty if none). Entries from other model
-    /// versions are dropped.
-    pub fn load() -> Self {
-        let mut entries = HashMap::new();
-        if let Ok(body) = std::fs::read_to_string(Self::path()) {
-            for line in body.lines() {
-                if let Some((key, res)) = Self::parse_line(line) {
-                    entries.insert(key, res);
-                }
-            }
-        }
-        SweepCache {
-            entries,
-            dirty: false,
-            persist: true,
-        }
-    }
-
-    pub(crate) fn parse_line(line: &str) -> Option<(String, TbResult)> {
-        let fields: Vec<&str> = line.split('\t').collect();
-        let [key, offered, accepted, avg, p99, delivered, lost, saturated] = fields[..] else {
-            return None;
-        };
-        if !key.starts_with(MODEL_VERSION) || !key[MODEL_VERSION.len()..].starts_with('|') {
-            return None;
-        }
-        Some((
-            key.to_string(),
-            TbResult {
-                offered: offered.parse().ok()?,
-                accepted: accepted.parse().ok()?,
-                avg_latency: avg.parse().ok()?,
-                p99_latency: p99.parse().ok()?,
-                delivered: delivered.parse().ok()?,
-                lost: lost.parse().ok()?,
-                per_tile_latency: Vec::new(),
-                saturated: match saturated {
-                    "1" => true,
-                    "0" => false,
-                    _ => return None,
-                },
-            },
-        ))
-    }
-
-    fn render_line(key: &str, r: &TbResult) -> String {
-        format!(
-            "{key}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            r.offered,
-            r.accepted,
-            r.avg_latency,
-            r.p99_latency,
-            r.delivered,
-            r.lost,
-            u8::from(r.saturated)
-        )
-    }
-
-    /// The cached result for `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&TbResult> {
-        self.entries.get(key)
-    }
-
-    /// Caches `res` under `key`.
-    pub fn insert(&mut self, key: String, res: TbResult) {
-        self.entries.insert(key, res);
-        self.dirty = true;
-    }
-
-    /// Number of cached results.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Persists new entries, merging with whatever is on disk first so
-    /// concurrent harnesses never erase each other's results. The write
-    /// is atomic — a temporary file renamed into place — so an
-    /// interrupted run leaves either the old complete file or the new
-    /// one, never a truncated prefix.
-    pub fn save(&mut self) {
-        if !self.persist || !self.dirty {
-            return;
-        }
-        let mut merged = SweepCache::load().entries;
-        merged.extend(self.entries.iter().map(|(k, v)| (k.clone(), v.clone())));
-        let mut keys: Vec<&String> = merged.keys().collect();
-        keys.sort();
-        let mut body = String::new();
-        for k in keys {
-            let _ = writeln!(body, "{}", Self::render_line(k, &merged[k]));
-        }
-        let path = Self::path();
-        let tmp = path.with_extension(format!("tsv.tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, body).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
-            self.dirty = false;
-        }
-    }
-}
-
 /// Executes [`SweepJob`]s across a worker pool, returning results in job
 /// order (deterministic output regardless of thread count).
 #[derive(Debug)]
@@ -273,11 +138,7 @@ pub struct SweepRunner {
 impl SweepRunner {
     /// A runner honoring `opts` (thread count, cache enable).
     pub fn new(opts: Opts) -> Self {
-        let store = (!opts.no_cache).then(|| {
-            let store = ResultStore::open_default();
-            store.migrate_legacy_tsv(&results_dir().join("sweep_cache.tsv"));
-            Arc::new(store)
-        });
+        let store = (!opts.no_cache).then(|| Arc::new(ResultStore::open_default()));
         SweepRunner {
             threads: opts.threads,
             store,
@@ -471,41 +332,16 @@ mod tests {
         let job = SweepJob::new(NetworkConfig::mesh(dims), quick_tb(0.05));
         assert_eq!(job.cache_key(), job.clone().cache_key());
 
-        let mut cache = SweepCache::default();
+        // Never flushed, so the store touches nothing on disk.
+        let store = ResultStore::open(std::env::temp_dir().join("ruche-sweep-unflushed"));
         let res = ruche_traffic::run(&job.cfg, &job.tb).unwrap();
-        cache.insert(job.cache_key(), res.clone());
-        let hit = cache.get(&job.cache_key()).expect("cache hit");
+        store.put(&job.cache_key(), &res);
+        let hit = store.get(&job.cache_key()).expect("cache hit");
         assert_eq!(hit.avg_latency, res.avg_latency);
         assert_eq!(hit.delivered, res.delivered);
-        assert!(cache
+        assert!(store
             .get(&SweepJob::new(NetworkConfig::torus(dims), quick_tb(0.05)).cache_key())
             .is_none());
-    }
-
-    #[test]
-    fn cache_lines_roundtrip() {
-        let r = TbResult {
-            offered: 0.1,
-            accepted: 0.0975,
-            avg_latency: 7.25,
-            p99_latency: 19.0,
-            delivered: 1234,
-            lost: 0,
-            per_tile_latency: Vec::new(),
-            saturated: false,
-        };
-        let line = SweepCache::render_line("v1|k", &r);
-        let (key, back) = SweepCache::parse_line(&line).expect("parses");
-        assert_eq!(key, "v1|k");
-        assert_eq!(back.offered, r.offered);
-        assert_eq!(back.accepted, r.accepted);
-        assert_eq!(back.avg_latency, r.avg_latency);
-        assert_eq!(back.p99_latency, r.p99_latency);
-        assert_eq!(back.delivered, r.delivered);
-        assert_eq!(back.lost, r.lost);
-        assert_eq!(back.saturated, r.saturated);
-        // Foreign model versions are ignored on load.
-        assert!(SweepCache::parse_line(&line.replacen("v1|", "v0|", 1)).is_none());
     }
 
     #[test]

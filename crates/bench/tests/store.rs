@@ -2,10 +2,10 @@
 //! plus its integration with the sweep runner.
 
 use ruche_bench::store::{ResultStore, SHARDS};
-use ruche_bench::sweep::SweepJob;
+use ruche_bench::sweep::{SweepJob, MODEL_VERSION};
 use ruche_bench::SweepRunner;
 use ruche_noc::prelude::*;
-use ruche_traffic::{Pattern, TbResult, Testbench};
+use ruche_traffic::{Pattern, SweepRequest, TbResult, Testbench};
 use std::path::PathBuf;
 
 /// A fresh scratch directory per test case (no tempfile dependency).
@@ -163,39 +163,30 @@ fn concurrent_writers_never_lose_an_entry() {
 }
 
 #[test]
-fn legacy_tsv_migrates_once_and_atomically() {
-    let dir = scratch("migrate");
-    let tsv = dir.join("sweep_cache.tsv");
-    // Two well-formed legacy lines (old Debug-rendered keys), one line
-    // from a foreign model version, and one torn line.
-    std::fs::write(
-        &tsv,
-        "v1|NetworkConfig { a }|Testbench { b }\t0.1\t0.09\t5.5\t12\t900\t0\t0\n\
-         v1|NetworkConfig { c }|Testbench { d }\t0.2\t0.18\t9.5\t30\t1800\t3\t1\n\
-         v0|old-model\t0.1\t0.1\t1\t1\t1\t0\t0\n\
-         v1|torn\t0.3\t0.2\n",
-    )
-    .unwrap();
-
-    let store = ResultStore::open(dir.join("sweep_store"));
-    assert_eq!(store.migrate_legacy_tsv(&tsv), 2, "only valid v1 lines");
-    assert!(!tsv.exists(), "original renamed away");
-    assert!(tsv.with_extension("tsv.migrated").exists());
-
-    let imported = store
-        .get("v1|NetworkConfig { a }|Testbench { b }")
-        .expect("imported entry decodes");
-    assert_eq!(imported.offered, 0.1);
-    assert_eq!(imported.delivered, 900);
-    assert!(!imported.saturated);
-    let second = store.get("v1|NetworkConfig { c }|Testbench { d }").unwrap();
-    assert!(second.saturated);
-    assert_eq!(second.lost, 3);
-
-    // Second call: nothing left to migrate.
-    assert_eq!(store.migrate_legacy_tsv(&tsv), 0);
-    // The imported entries persist across a reopen.
-    assert_eq!(ResultStore::open(dir.join("sweep_store")).len(), 2);
+fn the_committed_store_holds_only_reachable_keys() {
+    // Every committed entry must be reachable from the canonical key
+    // space (`SweepJob::cache_key`); anything else is dead weight that
+    // every `ResultStore::open` parses for nothing.
+    let prefix = format!(
+        "{MODEL_VERSION}|{{\"key_version\":{},",
+        SweepRequest::KEY_VERSION
+    );
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/sweep_store");
+    let mut entries = 0;
+    for i in 0..SHARDS {
+        let path = dir.join(format!("shard-{i}.tsv"));
+        let body = std::fs::read_to_string(&path).expect("committed shard");
+        for line in body.lines() {
+            let key = line.split('\t').next().unwrap_or_default();
+            assert!(
+                key.starts_with(&prefix),
+                "{}: unreachable key {key:.80}",
+                path.display()
+            );
+            entries += 1;
+        }
+    }
+    assert!(entries > 0, "the committed store is empty");
 }
 
 #[test]
@@ -222,8 +213,7 @@ fn runners_sharing_a_store_turn_repeat_batches_into_hits() {
     assert_eq!(second.cache_hits, 2);
     for (a, b) in cold.iter().zip(&warm) {
         // The store persists scalar aggregates only (per-tile data is
-        // scrubbed, exactly as the legacy cache did); every scalar must
-        // round-trip bit-exactly.
+        // scrubbed); every scalar must round-trip bit-exactly.
         let scrubbed = TbResult {
             per_tile_latency: Vec::new(),
             ..a.clone()

@@ -23,8 +23,7 @@
 //! The scanner ([`scan`]) strips comments and string/char literals and
 //! tracks `#[cfg(test)]` regions, so rules match real code tokens only.
 //! Everything is plain `std`; the linter must stay runnable in the
-//! offline CI container and cheap enough for `repro --lint-only`
-//! preflight.
+//! offline CI container and cheap enough to run on every change.
 
 #![forbid(unsafe_code)]
 

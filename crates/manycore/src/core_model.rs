@@ -9,10 +9,9 @@
 //! trace-driven replay.
 
 use ruche_noc::geometry::Coord;
-use serde::{Deserialize, Serialize};
 
 /// One operation in a tile's instruction stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `n` cycles of local computation (issues one instruction per cycle).
     Compute(u32),
@@ -74,7 +73,7 @@ pub enum CoreState {
 ///
 /// `stall_cycles` is the total; the four `stall_*` cause counters
 /// partition it exactly (see [`CoreStats::stall_breakdown`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions executed (compute cycles + issued memory operations).
     pub instructions: u64,

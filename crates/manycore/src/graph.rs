@@ -10,10 +10,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A directed graph in compressed-sparse-row form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<u32>,
     targets: Vec<u32>,
@@ -201,7 +200,7 @@ pub fn fem(nx: usize, ny: usize, nz: usize, seed: u64) -> Csr {
 }
 
 /// The graph datasets of Table 5 (scaled ~100×; see DESIGN.md §1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphId {
     /// `offshore` — scientific FEM mesh.
     Os,

@@ -14,7 +14,6 @@ use crate::graph::{Csr, GraphId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ruche_noc::geometry::Dims;
-use serde::{Deserialize, Serialize};
 
 /// Address-space bases per logical array (word addresses; IPOLY spreads
 /// them across banks).
@@ -34,7 +33,7 @@ mod base {
 }
 
 /// The paper's benchmarks (Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// 3-D stencil over neighbor scratchpads.
     Jacobi,
@@ -106,7 +105,7 @@ impl Benchmark {
 }
 
 /// A dataset selector (Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetId {
     /// The benchmark's single dataset (Jacobi grid / SGEMM matrices).
     Default,

@@ -24,12 +24,11 @@ use ruche_noc::topology::ConfigError;
 use ruche_phys::{EnergyModel, Tech};
 use ruche_stats::Accum;
 use ruche_telemetry::{Prefixed, Probe};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Full-system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Base network configuration (topology, scheme, dimensions). The
     /// machine derives the request network (X-Y DOR) and response network
@@ -117,7 +116,7 @@ impl From<ConfigError> for MachineError {
 }
 
 /// Remote-load latency, split as in the paper's Figure 12.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencySplit {
     /// End-to-end latency (issue to response delivery).
     pub total: Accum,
@@ -129,7 +128,7 @@ pub struct LatencySplit {
 }
 
 /// System energy, split as in the paper's Figure 13.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Core dynamic energy (instruction execution), pJ.
     pub core_pj: f64,
@@ -149,7 +148,7 @@ impl EnergyBreakdown {
 }
 
 /// Result of a completed run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Network label the run used.
     pub label: String,

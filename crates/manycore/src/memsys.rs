@@ -9,7 +9,6 @@
 
 use ruche_noc::geometry::Dims;
 use ruche_noc::routing::Dest;
-use serde::{Deserialize, Serialize};
 
 /// Irreducible polynomials over GF(2) by degree (low bits; the implicit
 /// leading term is handled in the reduction). Degrees 1..=10.
@@ -32,7 +31,7 @@ const IPOLY: [u32; 11] = [
 /// Non-power-of-two bank counts hash into the next power of two and fold
 /// by modulus (a small imbalance documented in DESIGN.md; every paper
 /// configuration has a power-of-two bank count).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipoly {
     banks: u32,
     degree: u32,
@@ -95,7 +94,7 @@ impl Ipoly {
 
 /// Maps LLC bank indices to edge endpoints: banks `0..cols` sit on the
 /// north edge, `cols..2·cols` on the south edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankMap {
     /// Array dimensions.
     pub dims: Dims,

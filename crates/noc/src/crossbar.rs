@@ -15,10 +15,9 @@
 use crate::geometry::{Coord, Dims, Dir};
 use crate::routing::{walk_route_from, Dest, EdgePort};
 use crate::topology::{NetworkConfig, TopologyKind};
-use serde::{Deserialize, Serialize};
 
 /// A router crossbar connectivity matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connectivity {
     ports: Vec<Dir>,
     /// `allowed[out][in]`.

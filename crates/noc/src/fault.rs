@@ -52,7 +52,6 @@ use crate::geometry::{Coord, Dir};
 use crate::routing::{Dest, EdgePort, RouteDecision, RouteError};
 use crate::topology::NetworkConfig;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -124,7 +123,7 @@ impl std::error::Error for FaultError {}
 /// assert!(!faults.is_empty());
 /// # Ok::<(), ruche_noc::fault::FaultError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultModel {
     /// Dead bidirectional links, each named from one of its endpoints.
     /// Kept sorted and deduplicated so equal fault sets compare (and

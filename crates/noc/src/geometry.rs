@@ -6,7 +6,6 @@
 //! *columns × rows* (e.g. the paper's `16×8` array has 16 columns and
 //! 8 rows, with memory tiles attached to the northern and southern edges).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tile coordinate inside a rectangular array.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(a.manhattan(b), 6 + 5);
 /// assert!(dims.contains(a));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Coord {
     /// Column index (grows eastward).
     pub x: u16,
@@ -75,7 +74,7 @@ impl From<(u16, u16)> for Coord {
 }
 
 /// Rectangular array dimensions, written *columns × rows* as in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dims {
     /// Number of columns (network width, the first number in "16×8").
     pub cols: u16,
@@ -137,7 +136,7 @@ impl fmt::Display for Dims {
 }
 
 /// The two array axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Horizontal (east–west, along a row).
     X,
@@ -156,7 +155,7 @@ impl Axis {
 }
 
 /// Which axes carry long-range (Ruche or torus wrap) channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axes {
     /// Horizontal only (the paper's *Half Ruche* / *half-torus*).
     X,
@@ -186,7 +185,7 @@ impl Axes {
 /// link comes **from** (a packet travelling east arrives on the `W` input),
 /// and an *output* port after the neighbor it goes **to** (the same packet
 /// leaves through the `E` output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dir {
     /// Processor (injection/ejection) port.
     P,

@@ -6,10 +6,9 @@
 
 use crate::geometry::Coord;
 use crate::routing::Dest;
-use serde::{Deserialize, Serialize};
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// A complete single-flit packet (head and tail at once).
     HeadTail,
@@ -37,7 +36,7 @@ impl FlitKind {
 ///
 /// Flits are small `Copy` values; the hot simulation loop moves them by
 /// value through fixed-capacity FIFOs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flit {
     /// Source tile.
     pub src: Coord,

@@ -28,11 +28,10 @@
 
 use crate::geometry::{Axis, Coord, Dims, Dir};
 use crate::topology::{fold_logical, CrossbarScheme, NetworkConfig, TopologyKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which edge of the array an edge-attached memory endpoint sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgePort {
     /// Beyond the N port of a row-0 router.
     North,
@@ -41,7 +40,7 @@ pub enum EdgePort {
 }
 
 /// A packet destination: a tile, or a memory endpoint on the array edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dest {
     /// The router at which the packet leaves the network. For edge
     /// destinations this is the edge-adjacent router in the target column.

@@ -15,11 +15,10 @@
 //!   parity-balanced routing (Figure 1f).
 
 use crate::geometry::{Axes, Axis, Coord, Dims, Dir};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Topology family of a network instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Plain 2-D mesh.
     Mesh,
@@ -81,7 +80,7 @@ impl TopologyKind {
 /// second dimension; depopulated routers force packets off the Ruche links
 /// onto local links before turning (or ejecting), trading a little latency
 /// for a 40% smaller crossbar (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrossbarScheme {
     /// All turns allowed straight off the Ruche links ("pop").
     FullyPopulated,
@@ -100,7 +99,7 @@ impl CrossbarScheme {
 }
 
 /// Dimension-ordered-routing order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DorOrder {
     /// Route X first, then Y (the paper's default; request traffic).
     XY,
@@ -135,7 +134,7 @@ impl DorOrder {
 ///
 /// The type survives only as the value of `Network::step_mode()`, which
 /// the benchmark harness records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StepMode {
     /// Fast-forward across provably quiescent spans.
     EventDriven,
@@ -237,7 +236,7 @@ impl std::error::Error for ConfigError {}
 /// cfg.validate()?;
 /// # Ok::<(), ruche_noc::topology::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Array dimensions (columns × rows).
     pub dims: Dims,
@@ -789,7 +788,7 @@ pub fn link_span_tiles(cfg: &NetworkConfig, dir: Dir) -> f64 {
 }
 
 /// Qualitative topology rows of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SurveyTopology {
     /// Ruche networks (this paper).
     Ruche,
@@ -808,7 +807,7 @@ pub enum SurveyTopology {
 }
 
 /// Physical-scalability criteria of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologyProperties {
     /// Every tile has an identical shape that can be stamped out.
     pub regular_tile_shape: bool,

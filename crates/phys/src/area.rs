@@ -9,11 +9,10 @@ use crate::tech::Tech;
 use ruche_noc::crossbar::Connectivity;
 use ruche_noc::geometry::Dir;
 use ruche_noc::topology::NetworkConfig;
-use serde::{Deserialize, Serialize};
 
 /// Structural parameters of one router, extracted from a network
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterParams {
     /// Report label (e.g. `ruche2-depop`).
     pub label: String,
@@ -62,7 +61,7 @@ impl RouterParams {
 }
 
 /// Router cell-area breakdown in µm², mirroring the paper's Table 2 rows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaBreakdown {
     /// Crossbar muxes.
     pub crossbar: f64,

@@ -6,10 +6,9 @@ use crate::tech::Tech;
 use ruche_noc::crossbar::Connectivity;
 use ruche_noc::geometry::Dir;
 use ruche_noc::topology::{link_span_tiles, NetworkConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-packet router + link energy model for one network configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyModel {
     tech: Tech,
     params: RouterParams,

@@ -8,10 +8,8 @@
 //! in this repository flows from this one table. See DESIGN.md §1 for the
 //! substitution rationale.
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated technology and microarchitectural unit costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tech {
     /// Crossbar area per bit per mux-tree input beyond the first, µm²
     /// (a k-input, W-bit one-hot mux costs `(k-1)·W` of these).

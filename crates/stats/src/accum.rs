@@ -1,7 +1,5 @@
 //! Streaming statistics accumulators.
 
-use serde::{Deserialize, Serialize};
-
 /// A streaming mean/variance accumulator (Welford's algorithm).
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.mean(), 5.0);
 /// assert_eq!(a.stdev(), 2.0); // population standard deviation
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Accum {
     count: u64,
     mean: f64,
@@ -144,7 +142,7 @@ impl FromIterator<f64> for Accum {
 }
 
 /// A sample store with quantile queries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Samples {
     values: Vec<f64>,
     sorted: bool,

@@ -1,7 +1,6 @@
 //! Fixed-bucket streaming histograms.
 
 use crate::json::{self, Json, JsonError};
-use serde::{Deserialize, Serialize};
 
 /// A streaming histogram over fixed, inclusive upper-edge buckets.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.counts(), &[1, 2, 0, 1, 1]); // last bucket = overflow
 /// assert_eq!(h.count(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Inclusive bucket upper edges, strictly increasing.
     edges: Vec<u64>,

@@ -12,9 +12,6 @@
 //! Serialization is a hand-rolled deterministic JSON codec ([`json`]):
 //! sorted keys, integer-exact `u64` values, no platform- or locale-
 //! dependent formatting — two identical runs produce byte-identical blobs.
-//! (The workspace's vendored `serde` is an offline no-op stub, so the
-//! derived trait impls here are markers only; the JSON codec is the real
-//! wire format.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

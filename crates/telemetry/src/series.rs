@@ -2,7 +2,6 @@
 //! windows.
 
 use crate::json::{self, Json, JsonError};
-use serde::{Deserialize, Serialize};
 
 /// A time series of event counts over fixed-width cycle windows.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// s.record(250, 1);
 /// assert_eq!(s.bins(), &[3, 0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
     /// Cycles per bin.
     window: u64,

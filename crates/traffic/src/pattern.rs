@@ -3,13 +3,12 @@
 use rand::Rng;
 use ruche_noc::geometry::{Coord, Dims};
 use ruche_noc::routing::Dest;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic destination-selection pattern.
 ///
 /// Patterns map a source tile to a destination; permutation patterns are
 /// deterministic, random patterns draw from the given RNG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
     /// Uniformly random destination tile (≠ source). The paper's
     /// *uniform random* and manycore *tile-to-tile* patterns.

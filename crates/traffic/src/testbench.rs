@@ -14,7 +14,6 @@ use ruche_noc::fault::FaultModel;
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
 use ruche_stats::Accum;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Testbench phase lengths and injection parameters.
@@ -23,7 +22,7 @@ use std::fmt;
 /// same discipline as `NetworkConfig::builder`. The fields stay public for
 /// struct-update tweaking in sweeps; [`Testbench::validate`] re-checks a
 /// hand-edited value, and [`run`] validates again before simulating.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Testbench {
     /// Destination pattern.
     pub pattern: Pattern,
@@ -216,7 +215,7 @@ impl From<Testbench> for TestbenchBuilder {
 /// `TbResult` is also the service's versioned per-job response payload:
 /// see [`TbResult::VERSION`](crate::wire) and the exact JSON round-trip
 /// codec in [`crate::wire`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TbResult {
     /// Offered load (packets/tile/cycle).
     pub offered: f64,
@@ -453,7 +452,7 @@ pub fn saturation_throughput(cfg: &NetworkConfig, pattern: Pattern, seed: u64) -
 }
 
 /// One point of a latency-vs-offered-load curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CurvePoint {
     /// Offered load (flits/tile/cycle).
     pub offered: f64,

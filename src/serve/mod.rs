@@ -17,7 +17,6 @@
 pub mod batch;
 pub mod opts;
 
-use ruche_bench::out::results_dir;
 use ruche_bench::ResultStore;
 use ruche_service::{respond, Client, Engine, Server};
 use std::io::Write;
@@ -41,9 +40,7 @@ pub fn dispatch(cmd: &str, argv: &[String]) -> i32 {
 fn build_engine(o: &opts::EngineOpts) -> Engine {
     let mut engine = Engine::new(o.threads);
     if o.cache {
-        let store = ResultStore::open_default();
-        store.migrate_legacy_tsv(&results_dir().join("sweep_cache.tsv"));
-        engine = engine.with_store(Arc::new(store));
+        engine = engine.with_store(Arc::new(ResultStore::open_default()));
     }
     engine
 }
