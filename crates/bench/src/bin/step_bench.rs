@@ -24,13 +24,14 @@
 //! switch allocator and a 9-input round-robin arbiter. Each is timed as
 //! warmup + 5 repeats and reported as min and median.
 //!
-//! Pass `--quick` to shorten the bursty workload and drop the Ruche row.
+//! Pass `--quick` to shorten the bursty workload and drop the Ruche row;
+//! a quick run writes `results/quick/BENCH_step_mode.json`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ruche_bench::out::{banner, write_artifact};
 use ruche_bench::sweep::MODEL_VERSION;
-use ruche_bench::Opts;
+use ruche_bench::{opts::usage_error, Opts};
 use ruche_noc::arbiter::{RoundRobin, Wavefront};
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
@@ -324,7 +325,7 @@ fn bench_modes(opts: &Opts) {
     }
     let _ = writeln!(json, "\n  ]");
     let _ = writeln!(json, "}}");
-    write_artifact("BENCH_step_mode.json", &json);
+    write_artifact(opts.quick, "BENCH_step_mode.json", &json);
 }
 
 /// Warmup + [`REPEATS`] timed runs of [`KERNEL_OPS`] calls to `op`
@@ -380,7 +381,10 @@ fn bench_kernels() {
 }
 
 fn main() {
-    let opts = Opts::from_env();
+    let (opts, words) = Opts::from_args();
+    if let Some(w) = words.first() {
+        usage_error(&format!("unexpected argument {w:?}"));
+    }
     banner("step_bench", "Network::step clock-advance comparison");
     bench_modes(&opts);
     bench_kernels();

@@ -1,4 +1,4 @@
-//! `repro --degradation`: the graceful-degradation sweep.
+//! `repro degradation`: the graceful-degradation sweep.
 //!
 //! Sweeps link-fault probability over the three topology families the
 //! paper's bandwidth argument contrasts — mesh, Half Ruche, and Full
@@ -389,7 +389,7 @@ pub fn run(opts: Opts) {
     println!("reading: saturation decays gracefully with fault rate; Ruche topologies");
     println!("hold more headroom (channel diversity absorbs detours) and their");
     println!("detour-attribution column shows the Ruche channels carrying them.");
-    write_artifact("BENCH_degradation.json", &json);
+    write_artifact(opts.quick, "BENCH_degradation.json", &json);
 }
 
 /// Minimal extraction of the per-point summary rows back out of the

@@ -353,5 +353,5 @@ pub fn run(opts: Opts) {
     pipelined_torus_ablation(opts, &mut runner, &mut csv);
     dor_order_ablation(opts, &mut csv);
     design_point_32x8_ablation(opts, &mut csv);
-    write_artifact("ablations.csv", csv.as_str());
+    write_artifact(opts.quick, "ablations.csv", csv.as_str());
 }

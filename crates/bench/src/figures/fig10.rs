@@ -61,7 +61,7 @@ pub fn run(opts: Opts) {
         println!("--- {dims}: speedup over mesh ---");
         println!("{}", t.render());
     }
-    write_artifact("fig10_speedup.csv", csv.as_str());
+    write_artifact(opts.quick, "fig10_speedup.csv", csv.as_str());
     println!("paper shape: consistent ruche speedups, most of the gain already at");
     println!("ruche2-depop; ruche3-pop best; half-torus trails every ruche config and");
     println!("loses outright on Jacobi (folded-torus neighbor pathology); 32x16 gains");

@@ -51,7 +51,7 @@ pub fn run(opts: Opts) {
         println!("--- {dims} vs 16x8 mesh ---");
         println!("{}", t.render());
     }
-    write_artifact("fig11_scalability.csv", csv.as_str());
+    write_artifact(opts.quick, "fig11_scalability.csv", csv.as_str());
     println!("paper shape: ruche lifts scalability everywhere; 64x8 mesh collapses on");
     println!("its bisection; at ruche3 the 64x8 array overtakes 32x16 by exploiting its");
     println!("higher compute:memory ratio; half-torus scales worst of the augmented nets.");

@@ -49,7 +49,7 @@ pub fn run(opts: Opts) {
         t.row(row);
     }
     println!("{}", t.render());
-    write_artifact("fig12_load_latency.csv", csv.as_str());
+    write_artifact(opts.quick, "fig12_load_latency.csv", csv.as_str());
     println!("paper shape: intrinsic latency is workload-independent (IPOLY balances");
     println!("banks); ruche2-depop already cuts intrinsic ~27%; congestion is largest");
     println!("for streaming workloads (FFT/SGEMM/PR-social) and never grows with ruche.");

@@ -56,7 +56,7 @@ pub fn run(opts: Opts) {
         t.row(row);
     }
     println!("{}", t.render());
-    write_artifact("fig13_energy.csv", csv.as_str());
+    write_artifact(opts.quick, "fig13_energy.csv", csv.as_str());
     println!("paper shape: core energy constant across networks; ruche cuts router");
     println!("energy (fewer hops) and stall energy (lower load latency); wire energy");
     println!("stays a small slice; half-torus *increases* total energy over mesh.");

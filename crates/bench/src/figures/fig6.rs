@@ -122,7 +122,7 @@ pub fn run(opts: Opts) {
             }
         }
     }
-    write_artifact("fig6_synthetic_curves.csv", csv.as_str());
+    write_artifact(opts.quick, "fig6_synthetic_curves.csv", csv.as_str());
     println!("paper shape to check: UR saturation mesh ≈ 0.28 / torus ≈ 0.42 /");
     println!("ruche1-pop ≈ 0.48 on 8x8; on 16x16 the torus VC-router handicap widens");
     println!("(mesh ≈ 0.15, torus ≈ 0.19, ruche1-pop ≈ 0.28, multi-mesh ≈ ruche1).");

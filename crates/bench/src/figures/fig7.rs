@@ -56,5 +56,5 @@ pub fn run(opts: Opts) {
     println!("{}", t.render());
     println!("paper shape: ruche pop/depop reach ~mesh-class minimum cycle time without");
     println!("pipelining; the torus wavefront allocator hits its timing wall far earlier.");
-    write_artifact("fig7_area_vs_cycle.csv", csv.as_str());
+    write_artifact(opts.quick, "fig7_area_vs_cycle.csv", csv.as_str());
 }

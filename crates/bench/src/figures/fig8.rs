@@ -85,5 +85,5 @@ pub fn run(opts: Opts) {
     }
     println!("paper: mesh mu=10.6 sigma=1.67; ruche2/ruche3 cut sigma 2.0x/2.9x vs mesh;");
     println!("torus is perfectly symmetric but ruche means drop below the torus mean.");
-    write_artifact("fig8_fairness.csv", csv.as_str());
+    write_artifact(opts.quick, "fig8_fairness.csv", csv.as_str());
 }

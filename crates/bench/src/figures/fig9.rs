@@ -122,7 +122,7 @@ pub fn run(opts: Opts) {
             }
         }
     }
-    write_artifact("fig9_half_ruche_curves.csv", csv.as_str());
+    write_artifact(opts.quick, "fig9_half_ruche_curves.csv", csv.as_str());
     println!("paper shape: Half Ruche roughly doubles tile-to-tile saturation over mesh;");
     println!("tile-to-memory approaches the compute:memory bound (~21% on 16x8, ~11% on");
     println!("32x16); half-torus lands between mesh and ruche2; ruche4 keeps scaling 64x8.");

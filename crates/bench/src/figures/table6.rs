@@ -140,7 +140,7 @@ pub fn run(opts: Opts) {
         t.row(row);
     }
     println!("{}", t.render());
-    write_artifact("table6_summary.csv", csv.as_str());
+    write_artifact(opts.quick, "table6_summary.csv", csv.as_str());
     println!("paper anchors (32x16): ruche2-depop 1.17x speedup / ruche3-pop 1.24x;");
     println!("half-torus 1.08x with ~1.01x area-normalized gain; NoC energy efficiency");
     println!("1.28-1.35x for ruche vs 0.75x for half-torus; tile area +5.8%..+9.0%.");

@@ -1,11 +1,12 @@
 //! # ruche-bench
 //!
 //! Harnesses that regenerate every table and figure of the paper's
-//! evaluation section. Each `cargo bench --bench <target>` (or
-//! `cargo run --release -p ruche-bench --bin repro`) prints the
-//! reproduction rows/series and writes CSVs under `results/`.
+//! evaluation section. `cargo run --release -p ruche-bench --bin repro
+//! [-- <word>…]` runs the named harnesses (all but the last two when no
+//! word is given); each prints its reproduction rows/series and writes its
+//! artifacts under `results/`.
 //!
-//! | Target | Reproduces |
+//! | Word | Reproduces |
 //! |---|---|
 //! | `table1` | Topology physical-scalability comparison |
 //! | `fig6`   | Full Ruche synthetic traffic curves (8×8, 16×16) |
@@ -20,11 +21,14 @@
 //! | `fig12`  | Remote-load latency split (32×16) |
 //! | `fig13`  | Total energy breakdown (32×16) |
 //! | `table6` | Geomean summary |
+//! | `ablations` | Design-choice ablations beyond the paper |
+//! | `telemetry` | Per-link telemetry of one config per synthetic figure (not run by default) |
+//! | `degradation` | Graceful degradation under link faults (not run by default) |
 //!
 //! The manycore figures (10–13, table 6) share one expensive simulation
 //! suite; results are cached in `results/cache.tsv` so later figures reuse
-//! earlier runs. Pass `--quick` (or set `RUCHE_QUICK=1`) for a reduced
-//! sweep.
+//! earlier runs. Pass `--quick` for a reduced sweep; its artifacts go to
+//! `results/quick/` so the committed full-run ones stay as they are.
 
 #![forbid(unsafe_code)]
 

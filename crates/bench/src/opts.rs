@@ -3,33 +3,15 @@
 /// Options shared by all figure harnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opts {
-    /// Reduced sweeps for smoke runs (`--quick` or `RUCHE_QUICK=1`).
+    /// Reduced sweeps for smoke runs (`--quick`). Their artifacts go to
+    /// `results/quick/`, apart from the committed full-run ones.
     pub quick: bool,
-    /// Worker-pool width for the sweep engine (`--threads N`,
-    /// `--threads=N`, or `RUCHE_THREADS=N`; defaults to the machine's
-    /// available parallelism).
+    /// Worker-pool width for the sweep engine (`--threads N` or
+    /// `--threads=N`; defaults to the machine's available parallelism).
     pub threads: usize,
-    /// Skip the on-disk sweep cache (`--no-cache` or `RUCHE_NO_CACHE=1`).
+    /// Skip the on-disk sweep cache (`--no-cache`).
     pub no_cache: bool,
-    /// Capture per-link telemetry for one representative configuration per
-    /// synthetic-traffic figure and write the JSON blobs under `results/`
-    /// (`--telemetry` or `RUCHE_TELEMETRY=1`).
-    pub telemetry: bool,
-    /// Run the graceful-degradation fault sweep instead of the figure
-    /// suite, writing `results/BENCH_degradation.json` (`--degradation` or
-    /// `RUCHE_DEGRADATION=1`).
-    pub degradation: bool,
 }
-
-/// The on/off flags [`Opts::parse`] accepts. `--bench` is what `cargo
-/// bench` passes to `harness = false` targets; it selects nothing.
-const SWITCHES: [&str; 5] = [
-    "--quick",
-    "--no-cache",
-    "--telemetry",
-    "--degradation",
-    "--bench",
-];
 
 /// The machine's available parallelism (1 if it can't be queried).
 pub fn default_threads() -> usize {
@@ -38,52 +20,50 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Prints a command-line error and exits with status 2: a bad argument
+/// must not start a sweep the caller did not ask for.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
 impl Opts {
-    /// Parses from the process arguments and environment. An unknown flag
-    /// or a malformed value prints the offending argument and exits with
-    /// status 2 rather than starting a sweep the caller did not ask for.
-    pub fn from_env() -> Self {
+    /// Parses the process arguments: the options, then the positional
+    /// words in order. Exits through [`usage_error`] on a bad flag.
+    pub fn from_args() -> (Self, Vec<String>) {
         let args: Vec<String> = std::env::args().collect();
-        Self::parse(&args, |k| std::env::var(k).ok()).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        })
+        Self::parse(&args).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Parses from explicit arguments (`args[0]` is the program name) and
-    /// an environment lookup (the testable core of [`Self::from_env`]).
+    /// Parses explicit arguments (`args[0]` is the program name; the
+    /// testable core of [`Self::from_args`]). An argument that does not
+    /// start with `-` is a positional word, returned in order.
     ///
     /// # Errors
     ///
     /// A message naming the first unknown flag, or the `--threads` value
     /// that is not a positive integer.
-    pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        let mut threads = None;
+    pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
+        let mut opts = Self::full();
+        let mut words = Vec::new();
+        let threads = |v: &str| {
+            let n = v.parse().ok().filter(|&n: &usize| n > 0);
+            n.ok_or(format!("--threads needs a positive integer, got {v:?}"))
+        };
         let mut it = args.iter().skip(1);
         while let Some(a) = it.next() {
-            let value = match a.strip_prefix("--threads=") {
-                Some(v) => v,
-                None if a == "--threads" => it.next().ok_or("--threads needs a value")?,
-                None if SWITCHES.contains(&a.as_str()) => continue,
-                None => return Err(format!("unknown flag {a:?}")),
-            };
-            let n = value.parse().ok().filter(|&n: &usize| n > 0);
-            threads = Some(n.ok_or(format!("--threads needs a positive integer, got {value:?}"))?);
+            match a.as_str() {
+                "--quick" => opts.quick = true,
+                "--no-cache" => opts.no_cache = true,
+                "--threads" => opts.threads = threads(it.next().ok_or("--threads needs a value")?)?,
+                w if !w.starts_with('-') => words.push(a.clone()),
+                _ => match a.strip_prefix("--threads=") {
+                    Some(v) => opts.threads = threads(v)?,
+                    None => return Err(format!("unknown flag {a:?}")),
+                },
+            }
         }
-        let flag = |name: &str, var: &str| {
-            args.iter().any(|a| a == name) || env(var).as_deref() == Some("1")
-        };
-        let threads = threads
-            .or_else(|| env("RUCHE_THREADS").and_then(|v| v.parse().ok()))
-            .filter(|&n| n > 0)
-            .unwrap_or_else(default_threads);
-        Ok(Opts {
-            quick: flag("--quick", "RUCHE_QUICK"),
-            threads,
-            no_cache: flag("--no-cache", "RUCHE_NO_CACHE"),
-            telemetry: flag("--telemetry", "RUCHE_TELEMETRY"),
-            degradation: flag("--degradation", "RUCHE_DEGRADATION"),
-        })
+        Ok((opts, words))
     }
 
     /// Full-sweep options.
@@ -92,8 +72,6 @@ impl Opts {
             quick: false,
             threads: default_threads(),
             no_cache: false,
-            telemetry: false,
-            degradation: false,
         }
     }
 
@@ -126,10 +104,10 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    const NO_ENV: fn(&str) -> Option<String> = |_| None;
-
-    fn ok(args: &[String], env: impl Fn(&str) -> Option<String>) -> Opts {
-        Opts::parse(args, env).expect("valid arguments")
+    fn ok(args: &[&str]) -> Opts {
+        let (opts, words) = Opts::parse(&strs(args)).expect("valid arguments");
+        assert!(words.is_empty(), "{words:?}");
+        opts
     }
 
     #[test]
@@ -144,19 +122,18 @@ mod tests {
 
     #[test]
     fn parses_threads_flag_both_forms() {
-        let o = ok(&strs(&["bench", "--threads", "7"]), NO_ENV);
+        let o = ok(&["bench", "--threads", "7"]);
         assert_eq!(o.threads, 7);
-        let o = ok(&strs(&["bench", "--threads=5", "--quick"]), NO_ENV);
+        let o = ok(&["bench", "--threads=5", "--quick"]);
         assert_eq!(o.threads, 5);
         assert!(o.quick);
     }
 
     #[test]
     fn parses_threads_env_and_flag_precedence() {
-        let env = |k: &str| (k == "RUCHE_THREADS").then(|| "3".to_string());
-        assert_eq!(ok(&strs(&["bench"]), env).threads, 3);
-        // An explicit flag beats the environment.
-        assert_eq!(ok(&strs(&["bench", "--threads=2"]), env).threads, 2);
+        assert_eq!(ok(&["bench"]).threads, default_threads());
+        // The last `--threads` wins.
+        assert_eq!(ok(&["bench", "--threads", "3", "--threads=2"]).threads, 2);
     }
 
     #[test]
@@ -165,16 +142,13 @@ mod tests {
             &["bench", "--threads", "0"][..],
             &["bench", "--threads=abc"],
         ] {
-            let err = Opts::parse(&strs(bad), NO_ENV).unwrap_err();
+            let err = Opts::parse(&strs(bad)).unwrap_err();
             assert!(err.contains("--threads"), "{err}");
         }
-        let err = Opts::parse(&strs(&["bench", "--threads", "abc"]), NO_ENV).unwrap_err();
+        let err = Opts::parse(&strs(&["bench", "--threads", "abc"])).unwrap_err();
         assert_eq!(err, "--threads needs a positive integer, got \"abc\"");
-        let err = Opts::parse(&strs(&["bench", "--threads"]), NO_ENV).unwrap_err();
+        let err = Opts::parse(&strs(&["bench", "--threads"])).unwrap_err();
         assert_eq!(err, "--threads needs a value");
-        // A garbage environment value still falls back to the default.
-        let env = |k: &str| (k == "RUCHE_THREADS").then(|| "lots".to_string());
-        assert_eq!(ok(&strs(&["bench"]), env).threads, default_threads());
     }
 
     #[test]
@@ -186,44 +160,35 @@ mod tests {
             ("--step-threads", Some("2")),
             ("--lint-only", None),
             ("--verify-only", None),
+            ("--telemetry", None),
+            ("--degradation", None),
+            ("--bench", None),
         ] {
             let mut args = vec!["repro", flag];
             args.extend(value);
-            let err = Opts::parse(&strs(&args), NO_ENV).unwrap_err();
+            let err = Opts::parse(&strs(&args)).unwrap_err();
             assert_eq!(err, format!("unknown flag {flag:?}"));
         }
     }
 
     #[test]
-    fn accepts_the_cargo_bench_argument() {
-        // `cargo bench` passes `--bench` to `harness = false` targets.
-        let o = ok(&strs(&["fig6", "--bench"]), NO_ENV);
-        assert_eq!(o, Opts::parse(&strs(&["fig6"]), NO_ENV).unwrap());
-    }
-
-    #[test]
     fn parses_no_cache() {
-        assert!(ok(&strs(&["bench", "--no-cache"]), NO_ENV).no_cache);
-        let env = |k: &str| (k == "RUCHE_NO_CACHE").then(|| "1".to_string());
-        assert!(ok(&strs(&["bench"]), env).no_cache);
-        assert!(!ok(&strs(&["bench"]), NO_ENV).no_cache);
+        assert!(ok(&["bench", "--no-cache"]).no_cache);
+        assert!(!ok(&["bench"]).no_cache);
     }
 
     #[test]
-    fn parses_telemetry() {
-        assert!(ok(&strs(&["bench", "--telemetry"]), NO_ENV).telemetry);
-        let env = |k: &str| (k == "RUCHE_TELEMETRY").then(|| "1".to_string());
-        assert!(ok(&strs(&["bench"]), env).telemetry);
-        assert!(!ok(&strs(&["bench"]), NO_ENV).telemetry);
-        assert!(!Opts::full().telemetry);
-    }
-
-    #[test]
-    fn parses_degradation() {
-        assert!(ok(&strs(&["bench", "--degradation"]), NO_ENV).degradation);
-        let env = |k: &str| (k == "RUCHE_DEGRADATION").then(|| "1".to_string());
-        assert!(ok(&strs(&["bench"]), env).degradation);
-        assert!(!ok(&strs(&["bench"]), NO_ENV).degradation);
-        assert!(!Opts::full().degradation);
+    fn words_come_back_in_order_between_flags() {
+        let (o, words) = Opts::parse(&strs(&[
+            "repro",
+            "fig7",
+            "--threads",
+            "2",
+            "table1",
+            "--quick",
+        ]))
+        .unwrap();
+        assert_eq!(words, ["fig7", "table1"]);
+        assert_eq!((o.threads, o.quick), (2, true));
     }
 }

@@ -1,4 +1,4 @@
-//! `repro --telemetry`: per-link telemetry capture for one representative
+//! `repro telemetry`: per-link telemetry capture for one representative
 //! configuration from each synthetic-traffic figure (6, 8, 9).
 //!
 //! For each capture the probed testbench reruns the figure's traffic with
@@ -90,6 +90,7 @@ pub fn run(opts: Opts) {
         probe.annotate("rate", &format!("{:.3}", c.rate));
         tel.export(&mut probe);
         write_artifact(
+            opts.quick,
             &format!("telemetry_{}_{label}.json", c.fig),
             &probe.into_json(),
         );

@@ -779,15 +779,6 @@ impl Network {
         self.sources.len()
     }
 
-    /// The [`Dest`] that routes a packet *to* endpoint `ep`.
-    pub fn dest_of(&self, ep: EndpointId) -> Dest {
-        match self.endpoint_kind(ep) {
-            EndpointKind::Tile(c) => Dest::tile(c),
-            EndpointKind::NorthEdge(col) => Dest::north_edge(col),
-            EndpointKind::SouthEdge(col) => Dest::south_edge(col, self.cfg.dims.rows),
-        }
-    }
-
     /// Queues a flit at endpoint `ep`'s (unbounded) source queue.
     ///
     /// # Panics

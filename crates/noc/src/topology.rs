@@ -64,14 +64,6 @@ impl TopologyKind {
             _ => 0,
         }
     }
-
-    /// Axes that carry long-range channels (Ruche or torus wrap links).
-    pub fn long_range_axes(self) -> Option<Axes> {
-        match self {
-            TopologyKind::Mesh | TopologyKind::MultiMesh => None,
-            TopologyKind::Torus { axes } | TopologyKind::Ruche { axes, .. } => Some(axes),
-        }
-    }
 }
 
 /// Crossbar population scheme for Ruche routers (Figure 4/5).

@@ -81,14 +81,6 @@ pub fn get_bool(v: &Json, field: &str) -> Result<bool, WireError> {
         .ok_or_else(|| WireError::new(field, "expected a boolean"))
 }
 
-/// Reads a string field of an object, erroring with the field path.
-pub fn get_str<'a>(v: &'a Json, field: &str) -> Result<&'a str, WireError> {
-    v.get(field)
-        .ok_or_else(|| WireError::new(field, "missing"))?
-        .as_str()
-        .ok_or_else(|| WireError::new(field, "expected a string"))
-}
-
 /// Reads an optional `u64` field (missing ⇒ `None`, wrong type ⇒ error).
 pub fn opt_u64(v: &Json, field: &str) -> Result<Option<u64>, WireError> {
     match v.get(field) {
@@ -97,18 +89,6 @@ pub fn opt_u64(v: &Json, field: &str) -> Result<Option<u64>, WireError> {
             .as_u64()
             .map(Some)
             .ok_or_else(|| WireError::new(field, "expected an unsigned integer")),
-    }
-}
-
-/// Reads an optional number field as `f64` (missing ⇒ `None`, wrong type
-/// ⇒ error).
-pub fn opt_f64(v: &Json, field: &str) -> Result<Option<f64>, WireError> {
-    match v.get(field) {
-        None => Ok(None),
-        Some(x) => x
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| WireError::new(field, "expected a number")),
     }
 }
 

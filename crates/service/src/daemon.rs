@@ -59,12 +59,6 @@ impl Server {
         self.engine.clone()
     }
 
-    /// A flag that stops the daemon when set (the in-band
-    /// `{"cmd":"shutdown"}` request sets it too).
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
-    }
-
     /// Serves until shut down, then joins every connection thread.
     ///
     /// # Errors

@@ -1,8 +1,13 @@
 //! Minimal ASCII scatter/line plots for terminal reports.
 //!
 //! The figure harnesses use these to render latency-vs-load curves
-//! (Figures 6 and 9) directly in `cargo bench` output, next to the CSV
+//! (Figures 6 and 9) directly in `repro` output, next to the CSV
 //! artifacts.
+
+/// Plot area width in characters.
+const WIDTH: usize = 64;
+/// Plot area height in characters.
+const HEIGHT: usize = 20;
 
 /// One plotted series: marker glyph, name, and `(x, y)` points.
 type Series = (char, String, Vec<(f64, f64)>);
@@ -13,9 +18,6 @@ pub struct AsciiPlot {
     title: String,
     x_label: String,
     y_label: String,
-    width: usize,
-    height: usize,
-    y_max: Option<f64>,
     series: Vec<Series>,
 }
 
@@ -29,30 +31,8 @@ impl AsciiPlot {
             title: title.to_string(),
             x_label: x_label.to_string(),
             y_label: y_label.to_string(),
-            width: 64,
-            height: 20,
-            y_max: None,
             series: Vec::new(),
         }
-    }
-
-    /// Sets the plot area size in characters (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is below 8.
-    pub fn with_size(mut self, width: usize, height: usize) -> Self {
-        assert!(width >= 8 && height >= 8, "plot area too small");
-        self.width = width;
-        self.height = height;
-        self
-    }
-
-    /// Clamps the y axis (points above are clipped to the top row) —
-    /// useful for latency curves that diverge at saturation.
-    pub fn with_y_max(mut self, y_max: f64) -> Self {
-        self.y_max = Some(y_max);
-        self
     }
 
     /// Adds a named series of (x, y) points. Non-finite points are skipped.
@@ -86,27 +66,24 @@ impl AsciiPlot {
         let x_min = all.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
         let x_max = all.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
         let y_min = 0.0f64.min(all.iter().map(|p| p.1).fold(f64::INFINITY, f64::min));
-        let y_max = self
-            .y_max
-            .unwrap_or_else(|| all.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max));
+        let y_max = all.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
         let x_span = (x_max - x_min).max(1e-12);
         let y_span = (y_max - y_min).max(1e-12);
 
-        let mut grid = vec![vec![' '; self.width]; self.height];
+        let mut grid = vec![vec![' '; WIDTH]; HEIGHT];
         for (mark, _, pts) in &self.series {
             for &(x, y) in pts {
-                let cx = ((x - x_min) / x_span * (self.width - 1) as f64).round() as usize;
-                let cy =
-                    ((y.min(y_max) - y_min) / y_span * (self.height - 1) as f64).round() as usize;
-                let row = self.height - 1 - cy;
-                grid[row][cx.min(self.width - 1)] = *mark;
+                let cx = ((x - x_min) / x_span * (WIDTH - 1) as f64).round() as usize;
+                let cy = ((y - y_min) / y_span * (HEIGHT - 1) as f64).round() as usize;
+                let row = HEIGHT - 1 - cy;
+                grid[row][cx.min(WIDTH - 1)] = *mark;
             }
         }
 
         let mut out = String::new();
         out.push_str(&format!("{} — {}\n", self.title, self.y_label));
         for (i, row) in grid.iter().enumerate() {
-            let y_here = y_max - y_span * i as f64 / (self.height - 1) as f64;
+            let y_here = y_max - y_span * i as f64 / (HEIGHT - 1) as f64;
             let label = if i % 5 == 0 {
                 format!("{y_here:>8.1} |")
             } else {
@@ -116,14 +93,14 @@ impl AsciiPlot {
             out.extend(row.iter());
             out.push('\n');
         }
-        out.push_str(&format!("{:>8} +{}\n", "", "-".repeat(self.width)));
+        out.push_str(&format!("{:>8} +{}\n", "", "-".repeat(WIDTH)));
         out.push_str(&format!(
             "{:>10}{:<w$.3}{:>.3}   ({})\n",
             "",
             x_min,
             x_max,
             self.x_label,
-            w = self.width - 4
+            w = WIDTH - 4
         ));
         out.push_str(&format!("{:>10}", ""));
         for (mark, name, _) in &self.series {
@@ -263,17 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn clamps_to_y_max() {
-        let mut p = AsciiPlot::new("t", "x", "y").with_y_max(10.0);
-        p.series("s", &[(0.0, 1.0), (1.0, 1_000_000.0)]);
-        let s = p.render();
-        // The divergent point appears on the top row instead of crushing
-        // the rest of the plot.
-        let top_row = s.lines().nth(1).unwrap();
-        assert!(top_row.contains('*'), "{s}");
-    }
-
-    #[test]
     fn skips_non_finite_points() {
         let mut p = AsciiPlot::new("t", "x", "y");
         p.series("s", &[(0.0, 1.0), (f64::NAN, 2.0), (1.0, f64::INFINITY)]);
@@ -285,11 +251,5 @@ mod tests {
             .map(|l| l.matches('*').count())
             .sum();
         assert_eq!(grid_marks, 1, "{s}");
-    }
-
-    #[test]
-    #[should_panic(expected = "too small")]
-    fn tiny_plot_panics() {
-        AsciiPlot::new("t", "x", "y").with_size(2, 2);
     }
 }

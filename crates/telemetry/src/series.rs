@@ -72,11 +72,6 @@ impl TimeSeries {
         self.bins.is_empty()
     }
 
-    /// Peak per-window rate in events per cycle.
-    pub fn peak_rate(&self) -> f64 {
-        self.bins.iter().copied().max().unwrap_or(0) as f64 / self.window as f64
-    }
-
     /// Adds another series' bins into this one (bin-by-bin).
     ///
     /// # Panics
@@ -139,7 +134,6 @@ mod tests {
         s.record(35, 2);
         assert_eq!(s.bins(), &[2, 5, 0, 2]);
         assert_eq!(s.total(), 9);
-        assert_eq!(s.peak_rate(), 0.5);
     }
 
     #[test]
