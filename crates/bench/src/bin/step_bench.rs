@@ -25,13 +25,14 @@
 //! warmup + 5 repeats and reported as min and median.
 //!
 //! Pass `--quick` to shorten the bursty workload and drop the Ruche row;
-//! a quick run writes `results/quick/BENCH_step_mode.json`.
+//! a quick run writes `results/quick/BENCH_step_mode.json`. Any other
+//! argument (`--threads`, `--no-cache` included) exits with status 2.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use ruche_bench::opts::usage_error;
 use ruche_bench::out::{banner, write_artifact};
 use ruche_bench::sweep::MODEL_VERSION;
-use ruche_bench::{opts::usage_error, Opts};
 use ruche_noc::arbiter::{RoundRobin, Wavefront};
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
@@ -241,11 +242,11 @@ fn mode_rows(quick: bool) -> Vec<ModeRow> {
 }
 
 /// Runs the clock-advance comparison and writes `BENCH_step_mode.json`.
-fn bench_modes(opts: &Opts) {
+fn bench_modes(quick: bool) {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"version\": \"{MODEL_VERSION}\",");
-    let _ = writeln!(json, "  \"quick\": {},", opts.quick);
+    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = writeln!(json, "  \"available_parallelism\": {threads},");
@@ -254,7 +255,7 @@ fn bench_modes(opts: &Opts) {
     let _ = writeln!(json, "  \"repeats\": {REPEATS},");
     let _ = writeln!(json, "  \"runs\": [");
     let mut first = true;
-    for row in mode_rows(opts.quick) {
+    for row in mode_rows(quick) {
         // Aggregate packets per cycle over the whole horizon — the honest
         // load figure for a workload with quiescent gaps.
         let rate = row.schedule.len() as f64 / row.horizon as f64;
@@ -325,7 +326,7 @@ fn bench_modes(opts: &Opts) {
     }
     let _ = writeln!(json, "\n  ]");
     let _ = writeln!(json, "}}");
-    write_artifact(opts.quick, "BENCH_step_mode.json", &json);
+    write_artifact(quick, "BENCH_step_mode.json", &json);
 }
 
 /// Warmup + [`REPEATS`] timed runs of [`KERNEL_OPS`] calls to `op`
@@ -381,11 +382,18 @@ fn bench_kernels() {
 }
 
 fn main() {
-    let (opts, words) = Opts::from_args();
-    if let Some(w) = words.first() {
-        usage_error(&format!("unexpected argument {w:?}"));
+    // The networks are built and stepped directly, with no sweep pool or
+    // store, so `--quick` is the only option.
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            _ => usage_error(&format!(
+                "unexpected argument {arg:?} (step_bench takes only --quick)"
+            )),
+        }
     }
     banner("step_bench", "Network::step clock-advance comparison");
-    bench_modes(&opts);
+    bench_modes(quick);
     bench_kernels();
 }

@@ -13,8 +13,8 @@
 //! shrinking the P output to 7 inputs and the RN/RS outputs by 5 each.
 
 use crate::geometry::{Coord, Dims, Dir};
-use crate::routing::{walk_route_from, Dest, EdgePort};
-use crate::topology::{NetworkConfig, TopologyKind};
+use crate::routing::{compute_route, edge_entry, Dest, EdgePort};
+use crate::topology::{DorOrder, NetworkConfig, TopologyKind};
 
 /// A router crossbar connectivity matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +62,14 @@ impl Connectivity {
         result
     }
 
-    /// Uncached enumeration over a probe network.
+    /// Uncached enumeration over a probe network. Routes to one
+    /// destination merge, so each walk stops at the first `(router, input
+    /// port, input VC)` state an earlier walk to the same destination
+    /// already took: the rest of the route's transitions are recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a route loops or leaves the array.
     fn derive(probe: &NetworkConfig) -> Self {
         let ports = probe.ports();
         let idx = |d: Dir| {
@@ -72,51 +79,63 @@ impl Connectivity {
                 .expect("probed direction appears in the port list")
         };
         let mut allowed = vec![vec![false; ports.len()]; ports.len()];
-
-        let mut record = |path: &[(Coord, Dir)], entry_dir: Dir| {
-            let mut in_dir = entry_dir;
-            for &(_, out) in path {
-                allowed[idx(out)][idx(in_dir)] = true;
-                in_dir = out.opposite();
+        // `seen[state]`: the last walk through the state, numbering walks
+        // from 1 across all destinations.
+        let mut seen: Vec<u32> = Vec::new();
+        let mut walks = 0u32;
+        let mut walk_to = |dest: Dest, sources: &mut dyn Iterator<Item = (Coord, Dir)>| {
+            let first = walks + 1;
+            for (src, entry) in sources {
+                walks += 1;
+                let (mut here, mut in_dir, mut vc) = (src, entry, 0u8);
+                loop {
+                    let node = probe.dims.index(here);
+                    let state = (usize::from(vc) * probe.dims.count() + node) * Dir::ALL.len()
+                        + in_dir as usize;
+                    if state >= seen.len() {
+                        seen.resize(state + 1, 0);
+                    }
+                    if seen[state] >= first {
+                        assert!(seen[state] != walks, "route from {src} to {dest} loops");
+                        break;
+                    }
+                    seen[state] = walks;
+                    let dec = compute_route(probe, here, in_dir, vc, dest);
+                    allowed[idx(dec.out)][idx(in_dir)] = true;
+                    if here == dest.coord && dec.out == dest.exit_dir() {
+                        break;
+                    }
+                    let next = probe.neighbor(here, dec.out).unwrap_or_else(|| {
+                        panic!("route from {src} to {dest} leaves the array at {here}")
+                    });
+                    (here, in_dir, vc) = (next, dec.out.opposite(), dec.out_vc);
+                }
             }
         };
 
-        for s in probe.dims.iter() {
-            for d in probe.dims.iter() {
-                let path = walk_route_from(probe, s, Dir::P, Dest::tile(d));
-                record(&path, Dir::P);
-            }
+        // Edge endpoints carry one traffic direction per network: the
+        // request network (X-Y) routes *to* the edges, the response
+        // network (Y-X) routes *from* them (§4). The crossbar only
+        // implements the transitions its network's direction uses.
+        let both = probe.edge_bidirectional;
+        let to_edge = probe.edge_memory_ports && (both || probe.dor == DorOrder::XY);
+        let from_edge = probe.edge_memory_ports && (both || probe.dor == DorOrder::YX);
+        let dims = probe.dims;
+        let edges =
+            || (0..dims.cols).flat_map(|col| [(col, EdgePort::North), (col, EdgePort::South)]);
+        for d in dims.iter() {
+            let tiles = dims.iter().map(|s| (s, Dir::P));
+            let entries = edges()
+                .filter(|_| from_edge)
+                .map(|(col, edge)| edge_entry(dims, edge, col));
+            walk_to(Dest::tile(d), &mut tiles.chain(entries));
         }
-        if probe.edge_memory_ports {
-            // Edge endpoints carry one traffic direction per network: the
-            // request network (X-Y) routes *to* the edges, the response
-            // network (Y-X) routes *from* them (§4). The crossbar only
-            // implements the transitions its network's direction uses.
-            for col in 0..probe.dims.cols {
-                for (edge, entry) in [(EdgePort::North, Dir::N), (EdgePort::South, Dir::S)] {
-                    let to_edge =
-                        probe.edge_bidirectional || probe.dor == crate::topology::DorOrder::XY;
-                    let from_edge =
-                        probe.edge_bidirectional || probe.dor == crate::topology::DorOrder::YX;
-                    if to_edge {
-                        for s in probe.dims.iter() {
-                            let dest = match edge {
-                                EdgePort::North => Dest::north_edge(col),
-                                EdgePort::South => Dest::south_edge(col, probe.dims.rows),
-                            };
-                            let path = walk_route_from(probe, s, Dir::P, dest);
-                            record(&path, Dir::P);
-                        }
-                    }
-                    if from_edge {
-                        let (at, _) = crate::routing::edge_entry(probe.dims, edge, col);
-                        for d in probe.dims.iter() {
-                            let path = walk_route_from(probe, at, entry, Dest::tile(d));
-                            record(&path, entry);
-                        }
-                    }
-                }
-            }
+        for (col, edge) in edges().filter(|_| to_edge) {
+            let dest = match edge {
+                EdgePort::North => Dest::north_edge(col),
+                EdgePort::South => Dest::south_edge(col, dims.rows),
+            };
+            walk_to(dest, &mut dims.iter().map(|s| (s, Dir::P)));
         }
         Connectivity { ports, allowed }
     }

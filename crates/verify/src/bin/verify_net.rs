@@ -12,29 +12,7 @@
 //! configuration has an error finding (`--strict`: or a warning). An
 //! optional `FILTER` substring restricts the run to matching labels.
 
-use ruche_noc::fault::FaultModel;
-use ruche_noc::prelude::*;
 use ruche_verify::{grid, verify, verify_faulted, Severity};
-
-/// The faulted sample: the degradation sweep's three topology families at
-/// representative fault rates, plus a dead-router case.
-fn faulted_sample() -> Vec<(NetworkConfig, FaultModel)> {
-    let mut sample = Vec::new();
-    let topos = [
-        NetworkConfig::mesh(Dims::new(8, 8)),
-        NetworkConfig::half_ruche(Dims::new(16, 8), 2, CrossbarScheme::Depopulated),
-        NetworkConfig::full_ruche(Dims::new(8, 8), 2, CrossbarScheme::Depopulated),
-    ];
-    for cfg in topos {
-        for (p, seed) in [(0.05, 1u64), (0.15, 2)] {
-            let faults = FaultModel::random_links(&cfg, p, seed);
-            sample.push((cfg.clone(), faults));
-        }
-        let dead = Coord::new(cfg.dims.cols / 2, cfg.dims.rows / 2);
-        sample.push((cfg.clone(), FaultModel::default().kill_router(dead)));
-    }
-    sample
-}
 
 fn main() {
     let mut filter: Option<String> = None;
@@ -85,7 +63,7 @@ fn main() {
         }
     }
 
-    let faulted = faulted_sample();
+    let faulted = grid::faulted_sample();
     let mut n_faulted = 0usize;
     for (cfg, faults) in &faulted {
         if filter.as_deref().is_some_and(|f| !cfg.label().contains(f)) {

@@ -44,7 +44,7 @@ pub fn verify_faulted(cfg: &NetworkConfig, faults: &FaultModel) -> Report {
         }) {
         Ok(table) => table,
         Err(message) => {
-            sink.push(Lint::Config, Severity::Error, message, None);
+            sink.push(Lint::Config, Severity::Error, || (message, None));
             return Report {
                 label,
                 dims,
@@ -55,31 +55,25 @@ pub fn verify_faulted(cfg: &NetworkConfig, faults: &FaultModel) -> Report {
     };
 
     let cases = lints::route_cases(cfg);
-    let mut cdg = Cdg::new();
+    let mut cdg = Cdg::new(cfg.dims);
     let mut unreachable = 0usize;
-    for &route in &cases {
+    for (number, &route) in cases.iter().enumerate() {
         let steps = match trace_table(cfg, &table, route) {
             Ok(steps) => steps,
             Err((RouteError::Unreachable { .. }, _)) => {
                 unreachable += 1;
-                sink.push(
-                    Lint::Unreachable,
-                    Severity::Info,
-                    format!("faults partition {route}"),
-                    None,
-                );
+                sink.push(Lint::Unreachable, Severity::Info, || {
+                    (format!("faults partition {route}"), None)
+                });
                 continue;
             }
             Err((err, partial)) => {
-                sink.push(
-                    Lint::RouteTotality,
-                    Severity::Error,
-                    format!("{err}"),
-                    Some(Witness::Route {
-                        route,
-                        steps: partial.iter().map(|s| (s.here, s.out)).collect(),
-                    }),
-                );
+                sink.push(Lint::RouteTotality, Severity::Error, || {
+                    (
+                        format!("{err}"),
+                        Some(lints::route_witness(route, &partial)),
+                    )
+                });
                 continue;
             }
         };
@@ -87,48 +81,35 @@ pub fn verify_faulted(cfg: &NetworkConfig, faults: &FaultModel) -> Report {
             // A table route must never board a dead channel; this firing
             // means the table construction itself is broken.
             if faults.channel_dead(cfg, step.here, step.out) {
-                sink.push(
-                    Lint::RouteTotality,
-                    Severity::Error,
-                    format!("route crosses dead channel {} -{}->", step.here, step.out),
-                    Some(Witness::Route {
-                        route,
-                        steps: steps.iter().map(|s| (s.here, s.out)).collect(),
-                    }),
-                );
+                sink.push(Lint::RouteTotality, Severity::Error, || {
+                    let message =
+                        format!("route crosses dead channel {} -{}->", step.here, step.out);
+                    (message, Some(lints::route_witness(route, &steps)))
+                });
             }
         }
-        cdg.add_trace(cfg, route, &steps);
+        cdg.add_trace(cfg, number, route, &steps);
     }
 
-    for (channels, routes) in cdg.cycles() {
-        sink.push(
-            Lint::ChannelDeadlock,
-            Severity::Error,
-            format!(
+    let (stats, cycles) = cdg.finish(cases.len());
+    for (channels, routes) in cycles {
+        sink.push(Lint::ChannelDeadlock, Severity::Error, || {
+            let message = format!(
                 "channel-dependency cycle of length {} — the faulted network can deadlock",
                 channels.len()
-            ),
-            Some(Witness::Cycle { channels, routes }),
-        );
+            );
+            (message, Some(Witness::Cycle { channels, routes }))
+        });
     }
 
-    let stats = CdgStats {
-        channels: cdg.channel_count(),
-        dependencies: cdg.edge_count(),
-        routes: cases.len(),
-        largest_scc: cdg.largest_scc(),
-    };
-    sink.push(
-        Lint::CdgStats,
-        Severity::Info,
-        format!(
+    sink.push(Lint::CdgStats, Severity::Info, || {
+        let message = format!(
             "{} channels, {} dependencies from {} routes ({unreachable} unreachable); \
              largest SCC {}",
             stats.channels, stats.dependencies, stats.routes, stats.largest_scc
-        ),
-        None,
-    );
+        );
+        (message, None)
+    });
 
     Report {
         label,

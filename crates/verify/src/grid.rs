@@ -10,7 +10,11 @@
 //! The lists are intentionally written out here rather than imported
 //! from the bench crate (which depends on this one); the bench test
 //! suite cross-checks that its figure sweeps stay inside this grid.
+//!
+//! [`faulted_sample`] is the fault-injected counterpart `verify_net`
+//! checks with the up\*/down\* table.
 
+use ruche_noc::fault::FaultModel;
 use ruche_noc::prelude::*;
 // lint:allow(hash-order): membership-only dedup of config labels; nothing
 // iterates the set.
@@ -100,6 +104,26 @@ pub fn paper_grid() -> Vec<NetworkConfig> {
         push(resp_xy);
     }
     grid
+}
+
+/// The faulted sample: the degradation sweep's three topology families at
+/// representative fault rates, plus a dead-router case.
+pub fn faulted_sample() -> Vec<(NetworkConfig, FaultModel)> {
+    let mut sample = Vec::new();
+    let topos = [
+        NetworkConfig::mesh(Dims::new(8, 8)),
+        NetworkConfig::half_ruche(Dims::new(16, 8), 2, CrossbarScheme::Depopulated),
+        NetworkConfig::full_ruche(Dims::new(8, 8), 2, CrossbarScheme::Depopulated),
+    ];
+    for cfg in topos {
+        for (p, seed) in [(0.05, 1u64), (0.15, 2)] {
+            let faults = FaultModel::random_links(&cfg, p, seed);
+            sample.push((cfg.clone(), faults));
+        }
+        let dead = Coord::new(cfg.dims.cols / 2, cfg.dims.rows / 2);
+        sample.push((cfg.clone(), FaultModel::default().kill_router(dead)));
+    }
+    sample
 }
 
 #[cfg(test)]

@@ -65,6 +65,10 @@ use std::sync::{Mutex, OnceLock};
 /// accepts any such function, which is how the test suite proves the
 /// checker catches deliberately broken routing (e.g. a torus with the
 /// dateline VC switch disabled).
+///
+/// It must be a pure function of `(cfg, here, in_dir, in_vc, dest)`: the
+/// verifier decides each routing state once per destination and reuses
+/// that decision for every route that reaches the state.
 pub type RouteFn = dyn Fn(&NetworkConfig, Coord, Dir, u8, Dest) -> RouteDecision;
 
 /// Full per-hop routing state recorded while walking a route.

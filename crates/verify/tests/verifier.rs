@@ -4,7 +4,9 @@
 
 use ruche_noc::prelude::*;
 use ruche_noc::routing::compute_route;
-use ruche_verify::{grid, install_debug_hook, verify, verify_with, Lint, Severity, Witness};
+use ruche_verify::{
+    grid, install_debug_hook, verify, verify_with, Lint, RouteId, Severity, Witness,
+};
 
 /// A debug-build-friendly sample of the paper grid: one of each topology
 /// family, both crossbar schemes, both edge-traffic directions. The full
@@ -231,4 +233,104 @@ fn reports_render_readably() {
 
     let clean = verify(&NetworkConfig::mesh(Dims::new(4, 4))).render();
     assert!(clean.contains("clean"), "{clean}");
+}
+
+/// Every route to one destination funnels into a two-router loop, so all
+/// but the first of them join a loop another route already walked. The
+/// walk still ends, every one of those routes fails route totality, and
+/// the first looping route in enumeration order is the witness, of the
+/// totality finding and of both edges of the dependency cycle.
+#[test]
+fn routes_funnelling_into_one_loop_all_fail_totality() {
+    let cfg = NetworkConfig::mesh(Dims::new(6, 6));
+    let trap = Dest::tile(Coord::new(5, 5));
+    let funnel = move |cfg: &NetworkConfig, here: Coord, in_dir: Dir, in_vc: u8, dest: Dest| {
+        if dest != trap {
+            return compute_route(cfg, here, in_dir, in_vc, dest);
+        }
+        match (here.x, here.y) {
+            (2, 2) => RouteDecision {
+                out: Dir::E,
+                out_vc: 0,
+            },
+            (3, 2) => RouteDecision {
+                out: Dir::W,
+                out_vc: 0,
+            },
+            _ => compute_route(cfg, here, in_dir, in_vc, Dest::tile(Coord::new(2, 2))),
+        }
+    };
+    let report = verify_with(&cfg, &funnel);
+    let first = RouteId {
+        src: Coord::new(0, 0),
+        entry: Dir::P,
+        dest: trap,
+    };
+
+    let totality: Vec<_> = report.of_lint(Lint::RouteTotality).collect();
+    assert_eq!(totality.len(), 4, "{report}");
+    assert_eq!(
+        totality[3].message,
+        "...and 33 more route-totality finding(s) suppressed"
+    );
+    assert!(
+        totality[0].message.contains("did not terminate"),
+        "{report}"
+    );
+    let Some(Witness::Route { route, steps }) = &totality[0].witness else {
+        panic!("totality witness must be a route: {report}");
+    };
+    assert_eq!(*route, first);
+    assert_eq!(steps.len(), cfg.max_route_hops() + 1);
+    assert_eq!(
+        steps[..3],
+        [
+            (Coord::new(0, 0), Dir::E),
+            (Coord::new(1, 0), Dir::E),
+            (Coord::new(2, 0), Dir::S)
+        ]
+    );
+
+    let cycle = report
+        .of_lint(Lint::ChannelDeadlock)
+        .find_map(|f| match &f.witness {
+            Some(Witness::Cycle { channels, routes }) => Some((channels, routes)),
+            _ => None,
+        })
+        .expect("the loop is a dependency cycle");
+    assert_eq!(cycle.0.len(), 2, "{report}");
+    assert!(cycle.1.iter().all(|r| *r == first), "{report}");
+}
+
+/// Routes to the east column first run west to column 0 and then back
+/// east, so the later sources of a row join the walk of an earlier one and
+/// take their length from its stored remaining-hop count. The symmetry
+/// lint compares those lengths with the plain X-Y routes of the mirror
+/// image, so a wrong stored count would show in its message.
+#[test]
+fn routes_sharing_a_suffix_get_their_full_length() {
+    let cfg = NetworkConfig::mesh(Dims::new(6, 6));
+    let detour = |cfg: &NetworkConfig, here: Coord, in_dir: Dir, in_vc: u8, dest: Dest| {
+        let westbound = in_dir == Dir::P || in_dir == Dir::E;
+        if dest.coord.x == 5 && westbound && here.x > 0 {
+            RouteDecision {
+                out: Dir::W,
+                out_vc: 0,
+            }
+        } else {
+            compute_route(cfg, here, in_dir, in_vc, dest)
+        }
+    };
+    let report = verify_with(&cfg, &detour);
+    assert_eq!(report.of_lint(Lint::RouteTotality).count(), 0, "{report}");
+    // (5,0)->(5,0) runs 5 hops west and 5 back, then ejects: 11 hops. Its
+    // walk joins the one of (4,0)->(5,0) after two hops.
+    let symmetry = report
+        .of_lint(Lint::Symmetry)
+        .next()
+        .expect("the detour breaks X symmetry");
+    assert_eq!(
+        symmetry.message,
+        "route (0,0)->(0,0) takes 1 hop(s) but its X mirror (5,0)->(5,0) takes 11"
+    );
 }
