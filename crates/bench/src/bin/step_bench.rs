@@ -2,10 +2,11 @@
 //!
 //! **Clock-advance comparison** (`results/BENCH_step_mode.json`) —
 //! measures two drivers of the same network on sparse workloads (bursty and
-//! steady trickle): `cycle` calls `Network::step` every cycle, and `event`
-//! follows each step with `Network::fast_forward`, which skips the
-//! quiescent spans between bursts. `docs/EVENTS.md` explains how to read
-//! it.
+//! steady trickle on wormhole networks) and on a busy 16×16 torus, whose
+//! rate is the VC routers' cycles/s: `cycle` calls `Network::step` every
+//! cycle, and `event` follows each step with `Network::fast_forward`, which
+//! skips the quiescent spans between bursts. `docs/EVENTS.md` explains how
+//! to read it.
 //!
 //! Every point is measured as **warmup + 5 repeats**: one untimed run
 //! primes caches, then five timed runs report their min, median and max
@@ -20,9 +21,10 @@
 //!
 //! **Kernel costs** (printed only) — ns per operation of the step kernel's
 //! building blocks in the forms `Network::step` calls them: route
-//! computation on a 16×16 Ruche3 depopulated array, the 5×5 wavefront
-//! switch allocator and a 9-input round-robin arbiter. Each is timed as
-//! warmup + 5 repeats and reported as min and median.
+//! computation on a 16×16 Ruche3 depopulated array, the 5-port wavefront
+//! switch allocator's closed-form grant (one request per input) and a
+//! 9-input round-robin arbiter. Each is timed as warmup + 5 repeats and
+//! reported as min and median.
 //!
 //! Pass `--quick` to shorten the bursty workload and drop the Ruche row;
 //! a quick run writes `results/quick/BENCH_step_mode.json`. Any other
@@ -48,6 +50,9 @@ const SEED: u64 = 17;
 const DRIVERS: [(&str, bool); 2] = [("cycle", false), ("event", true)];
 /// Timed runs per point, after one untimed warmup run.
 const REPEATS: usize = 5;
+/// Per-tile injection rate of the busy torus row: every router stays
+/// loaded, so the row times the VC plan rather than fast-forwarding.
+const BUSY_RATE: f64 = 0.1;
 /// Operations per timed kernel-cost run.
 const KERNEL_OPS: u32 = 200_000;
 
@@ -204,9 +209,9 @@ struct ModeRow {
 }
 
 /// The clock-advance comparison workloads: bursty sparse traffic
-/// (quiescent between bursts — the regime fast-forwarding exists for) and
-/// a steady trickle (never quiescent — the regime where it must merely not
-/// lose).
+/// (quiescent between bursts — the regime fast-forwarding exists for), a
+/// steady trickle (never quiescent — the regime where it must merely not
+/// lose), and a busy torus, whose cycles/s is the VC routers' step rate.
 fn mode_rows(quick: bool) -> Vec<ModeRow> {
     let big = Dims::new(64, 64);
     let small = Dims::new(16, 16);
@@ -225,6 +230,14 @@ fn mode_rows(quick: bool) -> Vec<ModeRow> {
         cfg: NetworkConfig::mesh(small),
         dims: small,
         workload: "steady",
+        schedule,
+        horizon,
+    });
+    let (schedule, horizon) = gen_steady(small, 600, BUSY_RATE);
+    rows.push(ModeRow {
+        cfg: NetworkConfig::torus(small),
+        dims: small,
+        workload: "busy",
         schedule,
         horizon,
     });
@@ -358,11 +371,20 @@ fn bench_kernels() {
         let dest = Dest::tile(Coord::new((i * 3) % 16, (i * 5) % 16));
         black_box(compute_route(&cfg, black_box(here), Dir::P, 0, dest));
     });
-    let mut wavefront = Wavefront::new(5, 5);
-    let mut grants = [None; 5];
+    // One request per input on a 5-port VC router, as `Network::step`
+    // raises them: inputs 0 and 1 contend for output 0, 3 and 4 for
+    // output 3, input 2 alone requests output 1 (per-output masks, bit =
+    // input). Each operation grants every requested output and rotates
+    // the priority.
+    let mut wavefront = Wavefront::new(5);
+    let per_out: [u32; 5] = [0b0_0011, 0b0_0100, 0, 0b1_1000, 0];
     let switch = ns_per_op(|_| {
-        wavefront.allocate_into(black_box(&[0b1_1111; 5]), &mut grants);
-        black_box(&grants);
+        for (out, &reqs) in black_box(&per_out).iter().enumerate() {
+            if reqs != 0 {
+                black_box(wavefront.grant(out, reqs));
+            }
+        }
+        wavefront.advance();
     });
     let mut rr = RoundRobin::new(9);
     let arbiter = ns_per_op(|_| {
@@ -370,7 +392,7 @@ fn bench_kernels() {
     });
     for (name, (min, median)) in [
         ("route_compute_ruche3_depop", route),
-        ("wavefront_5x5_full", switch),
+        ("wavefront_5x5_grant", switch),
         ("round_robin_9", arbiter),
     ] {
         println!(

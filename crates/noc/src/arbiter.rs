@@ -6,6 +6,34 @@
 //! matching quality (Becker's implementation, §4.1) at the cost of a much
 //! longer critical path — the source of the torus routers' cycle-time
 //! disadvantage in Figure 7.
+//!
+//! Both work on request bitmasks (bit `i` = requester `i`), so the
+//! simulator's hot path never allocates.
+
+/// The first set bit of `mask` at or after bit `start`, wrapping around to
+/// the lowest set bit; `None` for an empty mask.
+#[inline]
+fn first_from(mask: u32, start: usize) -> Option<usize> {
+    if mask == 0 {
+        return None;
+    }
+    let high = mask >> start;
+    Some(if high != 0 {
+        start + high.trailing_zeros() as usize
+    } else {
+        mask.trailing_zeros() as usize
+    })
+}
+
+/// `i + 1` modulo `n`, for `i < n`.
+#[inline]
+fn wrap_next(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
+}
 
 /// A round-robin arbiter over `n` requesters.
 ///
@@ -30,17 +58,16 @@ impl RoundRobin {
         RoundRobin { n, last: n - 1 }
     }
 
-    /// Picks the next requester in round-robin order among `requests`,
-    /// without updating priority (combinational output).
+    /// Picks the next requester in round-robin order among `mask` (bit `i`
+    /// = requester `i`), without updating priority (combinational output).
     ///
     /// # Panics
     ///
-    /// Panics if `requests.len() != n`.
-    pub fn pick(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n);
-        (1..=self.n)
-            .map(|k| (self.last + k) % self.n)
-            .find(|&i| requests[i])
+    /// Debug-panics if the mask has bits at or above `n`, or `n > 32`.
+    pub fn pick_mask(&self, mask: u32) -> Option<usize> {
+        debug_assert!(self.n <= 32);
+        debug_assert_eq!(mask >> (self.n - 1) >> 1, 0, "mask wider than arbiter");
+        first_from(mask, wrap_next(self.last, self.n))
     }
 
     /// Commits a grant, rotating the priority.
@@ -50,36 +77,6 @@ impl RoundRobin {
     }
 
     /// Picks and commits in one step.
-    pub fn pick_and_grant(&mut self, requests: &[bool]) -> Option<usize> {
-        let w = self.pick(requests)?;
-        self.grant(w);
-        Some(w)
-    }
-
-    /// [`Self::pick`] over a request bitmask (bit `i` = requester `i`),
-    /// the allocation-free form the simulator's hot path uses.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if the mask has bits at or above `n`, or `n > 32`.
-    pub fn pick_mask(&self, mask: u32) -> Option<usize> {
-        debug_assert!(self.n <= 32);
-        debug_assert_eq!(mask >> (self.n - 1) >> 1, 0, "mask wider than arbiter");
-        if mask == 0 {
-            return None;
-        }
-        // Round-robin search from `last + 1`: first set bit at or above the
-        // start, else wrap to the lowest set bit (all below the start).
-        let start = (self.last + 1) % self.n;
-        let high = mask >> start;
-        if high != 0 {
-            Some(start + high.trailing_zeros() as usize)
-        } else {
-            Some(mask.trailing_zeros() as usize)
-        }
-    }
-
-    /// [`Self::pick_and_grant`] over a request bitmask.
     pub fn pick_and_grant_mask(&mut self, mask: u32) -> Option<usize> {
         let w = self.pick_mask(mask)?;
         self.grant(w);
@@ -87,72 +84,96 @@ impl RoundRobin {
     }
 }
 
-/// An acyclic wavefront allocator over an `n_in × n_out` request matrix.
+/// An acyclic wavefront allocator for an `n × n` router whose inputs each
+/// request at most one output per allocation — the VC router's case, where
+/// every input port first picks one of its VCs.
 ///
-/// Produces a (heuristically maximal) matching: a set of (input, output)
-/// grants such that no input or output appears twice and no request could be
-/// added without conflict. The priority diagonal rotates every allocation to
-/// provide fairness, mimicking the RTL implementation.
+/// The hardware sweeps `n` wavefronts starting at a rotating priority
+/// diagonal; cell `(i, o)` lies on diagonal `(i + o) mod n`, and a cell
+/// grants when neither its input nor its output was granted on an earlier
+/// wavefront. With one request per input no two cells compete for an
+/// input, so each output's grant is independent of the others: output `o`
+/// goes to the first requesting input at or after `(priority − o) mod n`,
+/// taken cyclically. [`Self::grant`] computes that closed form directly;
+/// the unit tests check it against the full sweep exhaustively at `n = 5`.
 #[derive(Debug, Clone)]
 pub struct Wavefront {
+    n: usize,
+    priority: usize,
+}
+
+impl Wavefront {
+    /// Creates an allocator for `n` inputs and `n` outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "allocator dimensions must be non-zero");
+        Wavefront { n, priority: 0 }
+    }
+
+    /// The input granted output `out` among the inputs in `reqs` (bit `i`
+    /// = input `i` requests `out`), or `None` if nobody requests it.
+    /// Combinational: call once per requested output, then [`Self::advance`].
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if `out >= n`, the mask has bits at or above `n`, or
+    /// `n > 32`.
+    #[inline]
+    pub fn grant(&self, out: usize, reqs: u32) -> Option<usize> {
+        debug_assert!(out < self.n && self.n <= 32);
+        debug_assert_eq!(reqs >> (self.n - 1) >> 1, 0, "mask wider than allocator");
+        // `(priority − out) mod n`, with both terms below `n`.
+        let start = self.priority + self.n - out;
+        let start = if start >= self.n {
+            start - self.n
+        } else {
+            start
+        };
+        first_from(reqs, start)
+    }
+
+    /// Rotates the priority diagonal: once per allocation, whether or not
+    /// any input requested.
+    #[inline]
+    pub fn advance(&mut self) {
+        self.priority = wrap_next(self.priority, self.n);
+    }
+}
+
+/// The general wavefront sweep over an `n_in × n_out` request matrix, in
+/// which an input may request several outputs: the reference the
+/// closed-form [`Wavefront::grant`] is tested against.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct WavefrontSweep {
     n_in: usize,
     n_out: usize,
     priority: usize,
 }
 
-impl Wavefront {
-    /// Creates an allocator for `n_in` inputs and `n_out` outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(n_in: usize, n_out: usize) -> Self {
+#[cfg(test)]
+impl WavefrontSweep {
+    pub(crate) fn new(n_in: usize, n_out: usize) -> Self {
         assert!(
             n_in > 0 && n_out > 0,
             "allocator dimensions must be non-zero"
         );
-        Wavefront {
+        WavefrontSweep {
             n_in,
             n_out,
             priority: 0,
         }
     }
 
-    /// Allocates over `requests` (indexed `[input][output]`), returning the
-    /// granted output per input. Rotates the priority diagonal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix shape does not match the allocator.
-    pub fn allocate(&mut self, requests: &[Vec<bool>]) -> Vec<Option<usize>> {
-        assert_eq!(requests.len(), self.n_in);
-        let masks: Vec<u32> = requests
-            .iter()
-            .map(|row| {
-                assert_eq!(row.len(), self.n_out);
-                row.iter()
-                    .enumerate()
-                    .fold(0u32, |m, (o, &r)| m | ((r as u32) << o))
-            })
-            .collect();
-        let mut grant_in = vec![None; self.n_in];
-        self.allocate_into(&masks, &mut grant_in);
-        grant_in
-    }
-
-    /// [`Self::allocate`] over per-input request bitmasks (bit `o` of
-    /// `requests[i]` = input `i` requests output `o`), writing grants into
-    /// a caller-owned buffer — the allocation-free form the simulator's hot
-    /// path uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests` or `grant_in` don't match the allocator shape;
-    /// debug-panics if `n_out > 32`.
-    pub fn allocate_into(&mut self, requests: &[u32], grant_in: &mut [Option<usize>]) {
+    /// Allocates over per-input request bitmasks (bit `o` of `requests[i]`
+    /// = input `i` requests output `o`), writing the granted output per
+    /// input into `grant_in`. Rotates the priority diagonal.
+    pub(crate) fn allocate_into(&mut self, requests: &[u32], grant_in: &mut [Option<usize>]) {
         assert_eq!(requests.len(), self.n_in);
         assert_eq!(grant_in.len(), self.n_in);
-        debug_assert!(self.n_out <= 32);
         let diag = self.n_in.max(self.n_out);
         grant_in.fill(None);
         let mut out_taken = 0u32;
@@ -179,13 +200,67 @@ impl Wavefront {
 mod tests {
     use super::*;
 
+    /// Reference round-robin pick over a bool slice, searching after the
+    /// arbiter's last grant.
+    fn pick_ref(rr: &RoundRobin, requests: &[bool]) -> Option<usize> {
+        assert_eq!(requests.len(), rr.n);
+        (1..=rr.n)
+            .map(|k| (rr.last + k) % rr.n)
+            .find(|&i| requests[i])
+    }
+
+    /// One allocation of the closed form over per-input requests (bit `o`
+    /// of `requests[i]`, at most one per input), as per-input grants.
+    fn closed_form(wf: &mut Wavefront, requests: &[u32]) -> Vec<Option<usize>> {
+        let mut per_out = vec![0u32; wf.n];
+        for (i, &r) in requests.iter().enumerate() {
+            assert!(r.count_ones() <= 1, "one request per input");
+            if r != 0 {
+                per_out[r.trailing_zeros() as usize] |= 1 << i;
+            }
+        }
+        let mut grants = vec![None; requests.len()];
+        for (o, &reqs) in per_out.iter().enumerate() {
+            if let Some(i) = wf.grant(o, reqs) {
+                grants[i] = Some(o);
+            }
+        }
+        wf.advance();
+        grants
+    }
+
+    /// Runs the reference sweep once over `requests`.
+    fn sweep(wf: &mut WavefrontSweep, requests: &[u32]) -> Vec<Option<usize>> {
+        let mut grants = vec![None; requests.len()];
+        wf.allocate_into(requests, &mut grants);
+        grants
+    }
+
+    /// Every single-request pattern for `n` inputs: each input requests
+    /// nothing or exactly one of the `n` outputs, `(n + 1)^n` patterns.
+    fn single_request_patterns(n: usize) -> impl Iterator<Item = Vec<u32>> {
+        let count = (n + 1).pow(n as u32);
+        (0..count).map(move |mut code| {
+            (0..n)
+                .map(|_| {
+                    let choice = code % (n + 1);
+                    code /= n + 1;
+                    if choice == n {
+                        0
+                    } else {
+                        1 << choice
+                    }
+                })
+                .collect()
+        })
+    }
+
     #[test]
     fn round_robin_cycles_fairly() {
         let mut rr = RoundRobin::new(3);
-        let all = [true, true, true];
         let picks: Vec<_> = (0..6)
             .map(|_| {
-                rr.pick_and_grant(&all)
+                rr.pick_and_grant_mask(0b111)
                     .expect("a requesting input wins the grant")
             })
             .collect();
@@ -195,45 +270,39 @@ mod tests {
     #[test]
     fn round_robin_skips_idle() {
         let mut rr = RoundRobin::new(4);
-        assert_eq!(rr.pick_and_grant(&[false, false, true, false]), Some(2));
-        assert_eq!(rr.pick_and_grant(&[true, false, true, false]), Some(0));
-        assert_eq!(rr.pick_and_grant(&[false, false, false, false]), None);
+        assert_eq!(rr.pick_and_grant_mask(0b0100), Some(2));
+        assert_eq!(rr.pick_and_grant_mask(0b0101), Some(0));
+        assert_eq!(rr.pick_and_grant_mask(0), None);
     }
 
     #[test]
     fn round_robin_least_recently_granted() {
         let mut rr = RoundRobin::new(2);
-        assert_eq!(rr.pick_and_grant(&[true, true]), Some(0));
+        assert_eq!(rr.pick_and_grant_mask(0b11), Some(0));
         // 0 was just granted: 1 now has priority.
-        assert_eq!(rr.pick_and_grant(&[true, true]), Some(1));
-        assert_eq!(rr.pick_and_grant(&[true, true]), Some(0));
+        assert_eq!(rr.pick_and_grant_mask(0b11), Some(1));
+        assert_eq!(rr.pick_and_grant_mask(0b11), Some(0));
     }
 
     #[test]
     fn pick_without_grant_is_stable() {
         let rr = RoundRobin::new(3);
-        assert_eq!(rr.pick(&[true, true, true]), Some(0));
-        assert_eq!(rr.pick(&[true, true, true]), Some(0));
+        assert_eq!(rr.pick_mask(0b111), Some(0));
+        assert_eq!(rr.pick_mask(0b111), Some(0));
     }
 
     #[test]
     fn wavefront_grants_are_a_matching() {
-        let mut wf = Wavefront::new(5, 5);
-        let requests: Vec<Vec<bool>> = vec![
-            vec![true, true, false, false, false],
-            vec![true, false, false, false, false],
-            vec![false, true, true, false, false],
-            vec![false, false, false, true, false],
-            vec![false, false, false, true, true],
-        ];
+        let mut wf = WavefrontSweep::new(5, 5);
+        let requests = [0b00011, 0b00001, 0b00110, 0b01000, 0b11000];
         for _ in 0..10 {
-            let grants = wf.allocate(&requests);
-            let mut seen = [false; 5];
+            let grants = sweep(&mut wf, &requests);
+            let mut seen = 0u32;
             for (i, g) in grants.iter().enumerate() {
                 if let Some(o) = *g {
-                    assert!(requests[i][o], "grant only where requested");
-                    assert!(!seen[o], "output granted twice");
-                    seen[o] = true;
+                    assert!(requests[i] & (1 << o) != 0, "grant only where requested");
+                    assert_eq!(seen & (1 << o), 0, "output granted twice");
+                    seen |= 1 << o;
                 }
             }
         }
@@ -241,19 +310,19 @@ mod tests {
 
     #[test]
     fn wavefront_matching_is_maximal_on_diagonal() {
-        let mut wf = Wavefront::new(4, 4);
-        // Identity requests: all four must be granted.
-        let requests: Vec<Vec<bool>> = (0..4).map(|i| (0..4).map(|o| o == i).collect()).collect();
-        let grants = wf.allocate(&requests);
+        // Identity requests: all four must be granted, by the sweep and by
+        // the closed form.
+        let requests = [0b0001, 0b0010, 0b0100, 0b1000];
+        let grants = sweep(&mut WavefrontSweep::new(4, 4), &requests);
+        assert!(grants.iter().all(|g| g.is_some()));
+        let grants = closed_form(&mut Wavefront::new(4), &requests);
         assert!(grants.iter().all(|g| g.is_some()));
     }
 
     #[test]
     fn wavefront_full_matrix_grants_everyone() {
         // With all-true requests a maximal matching covers every input.
-        let mut wf = Wavefront::new(5, 5);
-        let requests = vec![vec![true; 5]; 5];
-        let grants = wf.allocate(&requests);
+        let grants = sweep(&mut WavefrontSweep::new(5, 5), &[0b1_1111; 5]);
         assert!(grants.iter().all(|g| g.is_some()));
         let mut outs: Vec<_> = grants.into_iter().flatten().collect();
         outs.sort_unstable();
@@ -262,67 +331,79 @@ mod tests {
 
     #[test]
     fn wavefront_rotates_priority() {
-        let mut wf = Wavefront::new(2, 2);
-        // Two inputs contending for output 0.
-        let requests = vec![vec![true, false], vec![true, false]];
-        let first = wf.allocate(&requests);
-        let second = wf.allocate(&requests);
-        let w1 = first
-            .iter()
-            .position(|g| g.is_some())
+        // Two inputs contending for output 0 alternate, in the sweep and in
+        // the closed form.
+        let mut wf = Wavefront::new(2);
+        let first = wf
+            .grant(0, 0b11)
             .expect("contended output grants one winner");
-        let w2 = second
-            .iter()
-            .position(|g| g.is_some())
+        wf.advance();
+        let second = wf
+            .grant(0, 0b11)
             .expect("contended output grants one winner");
-        assert_ne!(w1, w2, "contending inputs alternate");
+        assert_ne!(first, second, "contending inputs alternate");
+        let mut sweep_wf = WavefrontSweep::new(2, 2);
+        assert_eq!(sweep(&mut sweep_wf, &[0b01, 0b01])[first], Some(0));
+        assert_eq!(sweep(&mut sweep_wf, &[0b01, 0b01])[second], Some(0));
     }
 
     #[test]
     fn wavefront_rectangular_shapes() {
-        let mut wf = Wavefront::new(3, 5);
-        let requests = vec![vec![true; 5]; 3];
-        let grants = wf.allocate(&requests);
+        let grants = sweep(&mut WavefrontSweep::new(3, 5), &[0b1_1111; 3]);
         assert_eq!(grants.iter().flatten().count(), 3);
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_dims_panic() {
-        Wavefront::new(0, 3);
+        Wavefront::new(0);
     }
 
     #[test]
     fn pick_mask_matches_pick() {
         for n in 1..=9usize {
-            // Two arbiters stepped in lockstep over every request pattern.
-            let mut a = RoundRobin::new(n);
-            let mut b = RoundRobin::new(n);
+            // The reference and the arbiter stepped in lockstep over every
+            // request pattern.
+            let mut rr = RoundRobin::new(n);
             for mask in 0..(1u32 << n) {
                 let bools: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
-                assert_eq!(a.pick(&bools), b.pick_mask(mask), "n={n} mask={mask:b}");
-                assert_eq!(a.pick_and_grant(&bools), b.pick_and_grant_mask(mask));
+                let expect = pick_ref(&rr, &bools);
+                assert_eq!(expect, rr.pick_mask(mask), "n={n} mask={mask:b}");
+                assert_eq!(expect, rr.pick_and_grant_mask(mask));
             }
         }
     }
 
     #[test]
-    fn allocate_into_matches_allocate() {
-        let mut a = Wavefront::new(5, 5);
-        let mut b = Wavefront::new(5, 5);
-        let mut grants = vec![None; 5];
-        // A deterministic mix of request matrices, cycled to rotate priority.
-        for round in 0u32..40 {
-            let masks: Vec<u32> = (0..5)
-                .map(|i| (round.wrapping_mul(31) >> i) & 0x1F)
-                .collect();
-            let bools: Vec<Vec<bool>> = masks
-                .iter()
-                .map(|&m| (0..5).map(|o| m & (1 << o) != 0).collect())
-                .collect();
-            let expect = a.allocate(&bools);
-            b.allocate_into(&masks, &mut grants);
-            assert_eq!(expect, grants, "round {round}");
+    fn closed_form_grant_matches_wavefront_sweep() {
+        // Every single-request pattern at the VC routers' port count, from
+        // each starting priority.
+        const N: usize = 5;
+        for priority in 0..N {
+            for requests in single_request_patterns(N) {
+                let mut a = WavefrontSweep::new(N, N);
+                let mut b = Wavefront::new(N);
+                for _ in 0..priority {
+                    a.allocate_into(&[0; N], &mut [None; N]);
+                    b.advance();
+                }
+                assert_eq!(
+                    sweep(&mut a, &requests),
+                    closed_form(&mut b, &requests),
+                    "priority {priority} requests {requests:?}"
+                );
+            }
+        }
+        // One long lockstep sequence, so each call inherits the priority
+        // the previous calls (empty ones included) left behind.
+        let mut a = WavefrontSweep::new(N, N);
+        let mut b = Wavefront::new(N);
+        for (call, requests) in single_request_patterns(N).enumerate() {
+            assert_eq!(
+                sweep(&mut a, &requests),
+                closed_form(&mut b, &requests),
+                "call {call} requests {requests:?}"
+            );
         }
     }
 }

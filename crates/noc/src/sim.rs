@@ -398,8 +398,8 @@ pub struct Network {
     /// VC-router per-input VC selectors, one per (node, input port).
     /// Empty for wormhole networks.
     in_rr_vc: Vec<RoundRobin>,
-    /// VC-router wavefront switch allocators, one per node. Empty for
-    /// wormhole networks.
+    /// VC-router wavefront switch allocators, one per node (closed-form
+    /// grant; see [`Wavefront`]). Empty for wormhole networks.
     sw_alloc: Vec<Wavefront>,
     /// Grants planned this cycle, in ascending node order (reusable
     /// scratch, sized for one transfer per output port).
@@ -544,7 +544,7 @@ impl Network {
             Vec::new()
         };
         let sw_alloc: Vec<Wavefront> = if is_vc {
-            vec![Wavefront::new(np, np); n_nodes]
+            vec![Wavefront::new(np); n_nodes]
         } else {
             Vec::new()
         };
@@ -985,7 +985,6 @@ impl Network {
             cfg,
             ports,
             conn,
-            port_vcs,
             coords,
             fifos,
             assigned,
@@ -1011,7 +1010,6 @@ impl Network {
             cfg,
             ports,
             conn,
-            port_vcs,
             coords,
             fifos,
             assigned,
@@ -1145,21 +1143,18 @@ struct Transfer {
 /// once to the port count, so planning never allocates).
 #[derive(Debug)]
 struct PlanScratch {
-    /// Request bitmasks: per output (wormhole, bit = input port) or per
-    /// input (VC, bit = output port).
+    /// Request bitmasks per output port (bit = input port), left zeroed
+    /// after each router.
     req_mask: Vec<u32>,
-    /// VC router: chosen (vc, out_port, out_vc) per input.
-    chosen: Vec<Option<(usize, usize, u8)>>,
-    /// VC router: switch-allocator grants per input.
-    grants: Vec<Option<usize>>,
+    /// VC router: chosen (vc, out_port, out_vc) per requesting input.
+    chosen: Vec<(u8, u8, u8)>,
 }
 
 impl PlanScratch {
     fn new(np: usize) -> Self {
         PlanScratch {
             req_mask: vec![0; np],
-            chosen: vec![None; np],
-            grants: vec![None; np],
+            chosen: vec![(0, 0, 0); np],
         }
     }
 }
@@ -1170,7 +1165,6 @@ struct PlanShared<'a> {
     cfg: &'a NetworkConfig,
     ports: &'a [Dir],
     conn: &'a Connectivity,
-    port_vcs: &'a [u8],
     coords: &'a [Coord],
     fifos: &'a Fifos,
     assigned: &'a [Option<(u8, u8)>],
@@ -1330,44 +1324,47 @@ fn plan_wormhole(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
 }
 
 /// VC-router plan: ready-then-valid requests (credit-gated), one VC per
-/// input port, wavefront switch allocation. Only `active` routers are
-/// visited.
+/// input port, wavefront switch allocation. Only `active` routers, and in
+/// them only non-empty input VCs, are visited. Each input raises at most
+/// one request, so the allocator grants each requested output in closed
+/// form ([`Wavefront::grant`]); its priority rotates once per router visit,
+/// whether or not any input requested.
 fn plan_vc(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
     let np = px.ports.len();
-    let mut valid = [false; 8];
-    let mut decision = [None::<(usize, u8)>; 8];
+    let vcs = px.max_vcs;
+    let vc_bits = (1u32 << vcs) - 1;
+    // Route decision (output port, output VC) per sendable VC of the input
+    // being planned.
+    let mut decision = [(0usize, 0u8); 8];
     for node in active.iter() {
         let busy = px.busy[node];
         debug_assert!(busy != 0, "idle router on the worklist");
-        // Per-input request masks (bit = output port) for the wavefront
-        // allocator.
-        c.scratch.req_mask.fill(0);
-        c.scratch.chosen.fill(None);
+        let base = node * np;
+        // Inputs that raised a request, and the outputs requested; the
+        // per-output request masks (bit = input port) are in the scratch.
+        let mut inputs = 0u32;
+        let mut outs = 0u32;
         for ip in 0..np {
-            let n_vcs = px.port_vcs[ip] as usize;
-            if (busy >> (ip * px.max_vcs)) & ((1 << n_vcs) - 1) == 0 {
-                // Every VC of this input is empty: nothing to request.
+            let vc_busy = (busy >> (ip * vcs)) & vc_bits;
+            if vc_busy == 0 {
                 continue;
             }
-            let base = (node * np + ip) * px.max_vcs;
-            for v in 0..n_vcs {
-                valid[v] = false;
-                decision[v] = None;
-                let Some(f) = px.fifos.head(base + v) else {
-                    continue;
-                };
-                let (op, out_vc) = head_route(px, c.route_cache, node, ip, v, base + v, f);
+            let slot0 = (base + ip) * vcs;
+            let mut valid = 0u32;
+            for v in set_bits(u64::from(vc_busy)) {
+                let f = px.fifos.head(slot0 + v).expect("busy VC has a head");
+                let (op, out_vc) = head_route(px, c.route_cache, node, ip, v, slot0 + v, f);
                 // Ready-then-valid: request only with credit in hand and
                 // the output VC free (or owned by this packet).
-                let out = node * np + op;
+                let out = base + op;
                 let credit_ok = px.has_credit(out, out_vc as usize);
-                let owner_ok = match px.vc_owner[out * px.max_vcs + out_vc as usize] {
+                let owner_ok = match px.vc_owner[out * vcs + out_vc as usize] {
                     None => f.kind.is_head(),
                     Some(owner) => owner == (ip as u8, v as u8),
                 };
                 if credit_ok && owner_ok {
-                    valid[v] = true;
-                    decision[v] = Some((op, out_vc));
+                    valid |= 1 << v;
+                    decision[v] = (op, out_vc);
                 } else if let Some(t) = c.tel.as_deref_mut() {
                     let cause = if credit_ok {
                         // Output VC held by another packet: an
@@ -1379,44 +1376,56 @@ fn plan_vc(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
                     t.record_blocked(node, op, out_vc as usize, cause);
                 }
             }
-            if let Some(v) = c.in_rr_vc[node * np + ip].pick(&valid[..n_vcs]) {
-                let (op, out_vc) = decision[v].expect("valid implies decision");
-                c.scratch.chosen[ip] = Some((v, op, out_vc));
-                c.scratch.req_mask[ip] |= 1 << op;
-                if let Some(t) = c.tel.as_deref_mut() {
-                    // Sibling VCs that were sendable but lost the
-                    // per-input VC pick this cycle.
-                    for (v2, &ok) in valid[..n_vcs].iter().enumerate() {
-                        if ok && v2 != v {
-                            let (op2, ovc2) = decision[v2].expect("valid implies decision");
-                            t.record_blocked(node, op2, ovc2 as usize, BlockCause::LostArbitration);
-                        }
-                    }
+            let Some(v) = c.in_rr_vc[base + ip].pick_mask(valid) else {
+                continue;
+            };
+            let (op, out_vc) = decision[v];
+            c.scratch.chosen[ip] = (v as u8, op as u8, out_vc);
+            c.scratch.req_mask[op] |= 1 << ip;
+            inputs |= 1 << ip;
+            outs |= 1 << op;
+            if let Some(t) = c.tel.as_deref_mut() {
+                // Sibling VCs that were sendable but lost the per-input
+                // VC pick this cycle.
+                for v2 in set_bits(u64::from(valid & !(1 << v))) {
+                    let (op2, ovc2) = decision[v2];
+                    t.record_blocked(node, op2, ovc2 as usize, BlockCause::LostArbitration);
                 }
             }
         }
-        {
-            let s = &mut *c.scratch;
-            c.sw_alloc[node].allocate_into(&s.req_mask, &mut s.grants);
+        let alloc = &mut c.sw_alloc[node];
+        let mut granted = 0u32;
+        for op in set_bits(u64::from(outs)) {
+            // Consume the mask, leaving it zeroed for the next router.
+            let reqs = std::mem::take(&mut c.scratch.req_mask[op]);
+            let ip = alloc
+                .grant(op, reqs)
+                .expect("requested output grants one input");
+            granted |= 1 << ip;
         }
-        for ip in 0..np {
-            if let Some(op) = c.scratch.grants[ip] {
-                let (v, op2, out_vc) = c.scratch.chosen[ip].expect("granted implies chosen");
-                debug_assert_eq!(op, op2);
-                c.in_rr_vc[node * np + ip].grant(v);
+        alloc.advance();
+        // Transfers go out in ascending input-port order: commit order
+        // fixes the ejection order.
+        for ip in set_bits(u64::from(inputs)) {
+            let (v, op, out_vc) = c.scratch.chosen[ip];
+            if granted & (1 << ip) != 0 {
+                c.in_rr_vc[base + ip].grant(v as usize);
                 c.transfers.push(Transfer {
                     node: node as u32,
                     in_port: ip as u8,
-                    in_vc: v as u8,
-                    out_port: op as u8,
+                    in_vc: v,
+                    out_port: op,
                     out_vc,
                 });
-            } else if let Some((_, op, out_vc)) = c.scratch.chosen[ip] {
-                // Chosen a VC and raised a request, but the wavefront
-                // allocator granted the output to another input.
-                if let Some(t) = c.tel.as_deref_mut() {
-                    t.record_blocked(node, op, out_vc as usize, BlockCause::LostArbitration);
-                }
+            } else if let Some(t) = c.tel.as_deref_mut() {
+                // Chosen a VC and raised a request, but the allocator
+                // granted the output to another input.
+                t.record_blocked(
+                    node,
+                    op as usize,
+                    out_vc as usize,
+                    BlockCause::LostArbitration,
+                );
             }
         }
     }
@@ -1425,6 +1434,7 @@ fn plan_vc(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter::WavefrontSweep;
     use crate::geometry::Dims;
     use crate::topology::CrossbarScheme::{Depopulated, FullyPopulated};
 
@@ -1932,5 +1942,67 @@ mod tests {
         let kept: Vec<usize> = (0..150).filter(|i| i % 3 != 0).collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), kept);
         assert_eq!(s.len, kept.len());
+    }
+
+    #[test]
+    fn vc_switch_priority_advances_on_every_router_visit() {
+        // Torus router (1, 1) holds two heads bound for the same output:
+        // one on its P input, one on the ring input straight across from
+        // that output. The router is first visited `blocked` times with the
+        // output out of credit, so no input requests; then it is planned
+        // again and again with credit restored and nothing committed, so
+        // the two inputs contend on every visit. The winners must follow
+        // the reference wavefront sweep stepped once per visit, empty
+        // visits included.
+        let mut first_winners = 0u32;
+        for blocked in 0..5 {
+            let mut net = Network::new(NetworkConfig::torus(Dims::new(8, 8))).expect("valid");
+            let (np, vcs) = (net.ports.len(), net.max_vcs);
+            let (at, dest) = (Coord::new(1, 1), Dest::tile(Coord::new(3, 1)));
+            let node = net.cfg.dims.index(at);
+            let out_dir = compute_route(&net.cfg, at, Dir::P, 0, dest).out;
+            let port = |d: Dir| net.ports.iter().position(|&p| p == d).expect("torus port");
+            let (p_in, ring_in, out) = (port(Dir::P), port(out_dir.opposite()), port(out_dir));
+            for (id, ip) in [p_in, ring_in].into_iter().enumerate() {
+                net.push_input(
+                    node,
+                    (node * np + ip) * vcs,
+                    Flit::single(at, dest, id as u64, 0),
+                );
+            }
+            let credits = (node * np + out) * vcs..(node * np + out + 1) * vcs;
+            let mut oracle = WavefrontSweep::new(np, np);
+            let mut requests = vec![0u32; np];
+            let mut grants = vec![None; np];
+            net.credits[credits.clone()].fill(0);
+            for _ in 0..blocked {
+                net.plan(None);
+                assert!(
+                    net.transfers.is_empty(),
+                    "credit-blocked router sends nothing"
+                );
+                oracle.allocate_into(&requests, &mut grants);
+            }
+            net.credits[credits].fill(net.cfg.fifo_depth as u8);
+            requests[p_in] = 1 << out;
+            requests[ring_in] = 1 << out;
+            for visit in 0..2 * np {
+                net.plan(None);
+                oracle.allocate_into(&requests, &mut grants);
+                let expect = grants
+                    .iter()
+                    .position(|&g| g == Some(out))
+                    .expect("the contended output grants one input");
+                assert_eq!(net.transfers.len(), 1, "one output, one transfer");
+                let winner = net.transfers[0].in_port as usize;
+                assert_eq!(winner, expect, "blocked {blocked} visit {visit}");
+                if visit == 0 {
+                    first_winners |= 1 << winner;
+                }
+                net.transfers.clear();
+            }
+        }
+        // The empty visits alone decided who won first.
+        assert_eq!(first_winners.count_ones(), 2);
     }
 }
