@@ -113,14 +113,33 @@ fn warm_repeats(mut run: impl FnMut() -> (Digest, f64)) -> (Digest, Spread) {
     (digest, spread)
 }
 
-/// The checked-out git revision, when `git rev-parse` succeeds.
+/// The checked-out git revision, when `git rev-parse` succeeds, with a
+/// `-dirty` suffix when the tree has uncommitted changes (see
+/// [`rev_with_state`]).
 fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()?;
-    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
-    (out.status.success() && !rev.is_empty()).then_some(rev)
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git").args(args).output().ok()?;
+        let text = String::from_utf8(out.stdout).ok()?;
+        out.status.success().then_some(text)
+    };
+    let rev = git(&["rev-parse", "HEAD"])?;
+    let rev = rev.trim();
+    if rev.is_empty() {
+        return None;
+    }
+    // A failed status leaves the state unknown: no suffix is claimed.
+    let porcelain = git(&["status", "--porcelain"]).unwrap_or_default();
+    Some(rev_with_state(rev, &porcelain))
+}
+
+/// `rev` as provenance: suffixed `-dirty` when `git status --porcelain`
+/// printed anything, since the binary then was not built from `rev` alone.
+fn rev_with_state(rev: &str, porcelain: &str) -> String {
+    if porcelain.trim().is_empty() {
+        rev.to_string()
+    } else {
+        format!("{rev}-dirty")
+    }
 }
 
 /// One timed driver run: steps `cfg` through the sparse `schedule` of
@@ -418,4 +437,24 @@ fn main() {
     banner("step_bench", "Network::step clock-advance comparison");
     bench_modes(quick);
     bench_kernels();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rev_with_state;
+
+    #[test]
+    fn a_clean_tree_names_the_bare_revision() {
+        assert_eq!(rev_with_state("4927d97", ""), "4927d97");
+        assert_eq!(rev_with_state("4927d97", "\n"), "4927d97");
+    }
+
+    #[test]
+    fn uncommitted_changes_mark_the_revision_dirty() {
+        assert_eq!(
+            rev_with_state("4927d97", " M crates/noc/src/sim.rs\n"),
+            "4927d97-dirty"
+        );
+        assert_eq!(rev_with_state("4927d97", "?? new.rs\n"), "4927d97-dirty");
+    }
 }

@@ -29,7 +29,7 @@
 //! tab or newline), values are JSON objects.
 
 use crate::out::results_dir;
-use ruche_telemetry::json::parse;
+use ruche_telemetry::json::{check, parse};
 use ruche_traffic::TbResult;
 // lint:allow(hash-order): shard maps are insert/lookup only; every byte
 // that reaches disk goes through an explicit sort in `render_shard`.
@@ -79,10 +79,11 @@ pub(crate) fn write_atomic(path: &Path, body: &str) -> std::io::Result<()> {
 
 /// Parses one stored line into `(key, value)`, or `None` for torn or
 /// foreign garbage: the line must have a tab, a non-empty key, and a value
-/// that is at least well-formed JSON (any version).
+/// that is at least well-formed JSON (any version). The value is checked,
+/// not parsed: its tree is only built when [`ResultStore::get`] decodes it.
 fn parse_entry(line: &str) -> Option<(&str, &str)> {
     let (key, value) = line.split_once('\t')?;
-    if key.is_empty() || parse(value).is_err() {
+    if key.is_empty() || check(value).is_err() {
         return None;
     }
     Some((key, value))

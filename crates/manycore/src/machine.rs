@@ -20,6 +20,7 @@ use crate::memsys::{BankMap, Ipoly};
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
 use ruche_noc::routing::walk_route_from;
+use ruche_noc::sim::BitSet;
 use ruche_noc::topology::ConfigError;
 use ruche_phys::{EnergyModel, Tech};
 use ruche_stats::Accum;
@@ -303,6 +304,12 @@ fn run_inner(
     }
     let mut req = Network::new(req_cfg.clone())?;
     let mut resp = Network::new(resp_cfg.clone())?;
+    // Every flit waiting at a source is a request (or its response) that a
+    // core still has outstanding, and a core queues at most `nic_depth`
+    // requests: the source pools are sized once for that backlog.
+    let outstanding = sys.max_outstanding as usize;
+    req.reserve_sources(n_tiles * sys.nic_depth.min(outstanding));
+    resp.reserve_sources(n_tiles * outstanding);
     if let Some(window) = telemetry_window {
         req.attach_telemetry(window);
         resp.attach_telemetry(window);
@@ -315,8 +322,21 @@ fn run_inner(
         .iter()
         .map(|p| Core::new(p.clone(), sys.max_outstanding))
         .collect();
-    let mut bank_q: Vec<VecDeque<Pending>> = vec![VecDeque::new(); bankmap.banks() as usize];
-    let mut server_q: Vec<VecDeque<Pending>> = vec![VecDeque::new(); n_tiles];
+    // A bank takes at most one request per cycle (one ejection per
+    // endpoint), each ready `llc_latency` cycles later, and emits one ready
+    // response per cycle, so it never holds more than `llc_latency + 1`
+    // requests; a server's requests are ready a cycle later, so it holds at
+    // most 2. Both are sized once here and never grow.
+    let bank_bound = sys.llc_latency as usize + 1;
+    let mut bank_q: Vec<VecDeque<Pending>> = (0..bankmap.banks())
+        .map(|_| VecDeque::with_capacity(bank_bound))
+        .collect();
+    let mut server_q: Vec<VecDeque<Pending>> =
+        (0..n_tiles).map(|_| VecDeque::with_capacity(2)).collect();
+    // The non-empty bank and server queues: the emitters visit only these,
+    // in ascending order, as a scan of every queue would.
+    let mut bank_busy = BitSet::new(bank_q.len());
+    let mut server_busy = BitSet::new(n_tiles);
     // Memo of `intrinsic_of`, indexed `requester * origins + origin`, where
     // an origin is a bank id or `banks + tile`; 0 means unset (a round trip
     // takes at least one cycle).
@@ -325,8 +345,10 @@ fn run_inner(
     let mut lat = LatencySplit::default();
     let mut next_id = 0u64;
     let mut cycle = 0u64;
-    // One ejection buffer for both networks, reused every cycle.
-    let mut ejected: Vec<(EndpointId, Flit)> = Vec::new();
+    // One ejection buffer for both networks, reused every cycle. A cycle
+    // ejects at most one flit per endpoint, so it never grows.
+    let mut ejected: Vec<(EndpointId, Flit)> =
+        Vec::with_capacity(req.endpoint_count().max(resp.endpoint_count()));
 
     // Zero-load latency of a request/response round trip, memoized.
     let intrinsic_of = |requester: Coord,
@@ -372,18 +394,6 @@ fn run_inner(
         v
     };
 
-    let all_done = |cores: &[Core],
-                    req: &Network,
-                    resp: &Network,
-                    bank_q: &[VecDeque<Pending>],
-                    server_q: &[VecDeque<Pending>]| {
-        cores.iter().all(|c| c.state() == CoreState::Done)
-            && req.snapshot().is_idle()
-            && resp.snapshot().is_idle()
-            && bank_q.iter().all(VecDeque::is_empty)
-            && server_q.iter().all(VecDeque::is_empty)
-    };
-
     loop {
         if cycle >= sys.max_cycles {
             return Err(MachineError::CycleLimit {
@@ -393,7 +403,8 @@ fn run_inner(
 
         // 1. LLC banks and scratchpad servers emit at most one response per
         //    cycle into the response network.
-        for (bank, q) in bank_q.iter_mut().enumerate() {
+        bank_busy.retain(|bank| {
+            let q = &mut bank_q[bank];
             if q.front().is_some_and(|p| p.ready <= cycle) {
                 let p = q.pop_front().expect("checked front");
                 let dest_bank = bankmap.dest(bank as u32);
@@ -410,8 +421,10 @@ fn run_inner(
                 next_id += 1;
                 resp.enqueue(ep, flit);
             }
-        }
-        for (tile, q) in server_q.iter_mut().enumerate() {
+            !q.is_empty()
+        });
+        server_busy.retain(|tile| {
+            let q = &mut server_q[tile];
             if q.front().is_some_and(|p| p.ready <= cycle) {
                 let p = q.pop_front().expect("checked front");
                 let server = dims.coord(tile);
@@ -422,7 +435,8 @@ fn run_inner(
                 next_id += 1;
                 resp.enqueue(ep, flit);
             }
-        }
+            !q.is_empty()
+        });
 
         // 2. Step the request network; ejections land at banks or servers.
         ejected.clear();
@@ -436,15 +450,22 @@ fn run_inner(
                 kind,
             };
             match req.endpoint_kind(ep) {
-                EndpointKind::NorthEdge(col) => bank_q[col as usize].push_back(pending),
-                EndpointKind::SouthEdge(col) => {
-                    bank_q[dims.cols as usize + col as usize].push_back(pending)
+                EndpointKind::NorthEdge(_) | EndpointKind::SouthEdge(_) => {
+                    // Edge endpoints follow the tiles in bank order: the
+                    // north row, then the south row.
+                    let bank = ep.0 - n_tiles;
+                    bank_q[bank].push_back(pending);
+                    bank_busy.insert(bank);
+                    debug_assert!(bank_q[bank].len() <= bank_bound, "bank queue bound");
                 }
                 EndpointKind::Tile(c) => {
-                    server_q[dims.index(c)].push_back(Pending {
+                    let tile = dims.index(c);
+                    server_q[tile].push_back(Pending {
                         ready: cycle + 1,
                         ..pending
                     });
+                    server_busy.insert(tile);
+                    debug_assert!(server_q[tile].len() <= 2, "server queue bound");
                 }
             }
         }
@@ -476,7 +497,9 @@ fn run_inner(
             }
         }
 
-        // 4. Cores execute.
+        // 4. Cores execute; their states after the tick are counted for
+        //    the barrier and completion checks.
+        let (mut running, mut at_barrier, mut done) = (0usize, 0usize, 0usize);
         for (idx, core) in cores.iter_mut().enumerate() {
             // Tile endpoints are numbered like tiles, row-major.
             let ep = EndpointId(idx);
@@ -494,13 +517,16 @@ fn run_inner(
                 next_id += 1;
                 req.enqueue(ep, flit);
             }
+            match core.state() {
+                CoreState::Running => running += 1,
+                CoreState::AtBarrier => at_barrier += 1,
+                CoreState::Done => done += 1,
+            }
         }
 
         // 5. Barrier release: when no core is still running, wake everyone
         //    waiting.
-        if cores.iter().any(|c| c.state() == CoreState::AtBarrier)
-            && cores.iter().all(|c| c.state() != CoreState::Running)
-        {
+        if at_barrier > 0 && running == 0 {
             for c in cores.iter_mut() {
                 if c.state() == CoreState::AtBarrier {
                     c.release_barrier();
@@ -509,7 +535,13 @@ fn run_inner(
         }
 
         cycle += 1;
-        if all_done(&cores, &req, &resp, &bank_q, &server_q) {
+        // A release leaves `done` as it was (and short of every core).
+        if done == n_tiles
+            && req.is_quiescent()
+            && resp.is_quiescent()
+            && bank_busy.is_empty()
+            && server_busy.is_empty()
+        {
             break;
         }
     }

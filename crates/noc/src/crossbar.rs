@@ -20,6 +20,9 @@ use crate::topology::{DorOrder, NetworkConfig, TopologyKind};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connectivity {
     ports: Vec<Dir>,
+    /// Port index per direction (`dir as usize`), [`NO_PORT`] where the
+    /// router has no such port: a lookup, not a search of `ports`.
+    index: [u8; Dir::ALL.len()],
     /// `allowed[out][in]`.
     allowed: Vec<Vec<bool>>,
 }
@@ -72,11 +75,11 @@ impl Connectivity {
     /// Panics if a route loops or leaves the array.
     fn derive(probe: &NetworkConfig) -> Self {
         let ports = probe.ports();
+        let index = port_table(&ports);
         let idx = |d: Dir| {
-            ports
-                .iter()
-                .position(|&p| p == d)
-                .expect("probed direction appears in the port list")
+            let i = index[d as usize];
+            assert!(i != NO_PORT, "probed direction appears in the port list");
+            usize::from(i)
         };
         let mut allowed = vec![vec![false; ports.len()]; ports.len()];
         // `seen[state]`: the last walk through the state, numbering walks
@@ -137,7 +140,11 @@ impl Connectivity {
             };
             walk_to(dest, &mut dims.iter().map(|s| (s, Dir::P)));
         }
-        Connectivity { ports, allowed }
+        Connectivity {
+            ports,
+            index,
+            allowed,
+        }
     }
 
     /// Router port list, canonical order.
@@ -154,8 +161,10 @@ impl Connectivity {
     }
 
     /// Index of `dir` in the port list.
+    #[inline]
     pub fn port_index(&self, dir: Dir) -> Option<usize> {
-        self.ports.iter().position(|&p| p == dir)
+        let i = self.index[dir as usize];
+        (i != NO_PORT).then_some(usize::from(i))
     }
 
     /// Number of mux inputs feeding `output`.
@@ -182,6 +191,19 @@ impl Connectivity {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Marks a direction the router has no port for in [`Connectivity`]'s
+/// port table.
+const NO_PORT: u8 = u8::MAX;
+
+/// The port index of every direction in `ports`, [`NO_PORT`] elsewhere.
+fn port_table(ports: &[Dir]) -> [u8; Dir::ALL.len()] {
+    let mut index = [NO_PORT; Dir::ALL.len()];
+    for (i, &d) in ports.iter().enumerate() {
+        index[d as usize] = i as u8;
+    }
+    index
 }
 
 /// A probe network large enough to exercise every routing transition.

@@ -17,7 +17,9 @@
 //! channel *slot* `(node * np + port) * max_vcs + vc` (or by `node * np +
 //! port` for per-port state): input FIFOs are fixed-depth rings in one flit
 //! slab, and the worklists of busy routers and sources are bitsets whose
-//! set bits iterate in ascending order, the deterministic plan order.
+//! set bits iterate in ascending order, the deterministic plan order. Each
+//! slot keeps two packed [`PortVc`] words: the route of the packet at the
+//! head of its input FIFO, and the owner of its output VC.
 
 use crate::arbiter::{RoundRobin, Wavefront};
 use crate::crossbar::Connectivity;
@@ -93,23 +95,27 @@ struct NetStats {
 
 /// A worklist of indices below a fixed bound, as a bitset: membership is
 /// one bit, and the members iterate in ascending order without sorting.
+/// The network keeps its busy routers and sources in one; the manycore
+/// machine keeps its non-empty memory queues in one.
 #[derive(Debug, Clone)]
-struct BitSet {
+pub struct BitSet {
     words: Vec<u64>,
     /// Members, so emptiness is O(1).
     len: usize,
 }
 
 impl BitSet {
-    fn new(bound: usize) -> Self {
+    /// An empty set for indices below `bound`.
+    pub fn new(bound: usize) -> Self {
         BitSet {
             words: vec![0; bound.div_ceil(64)],
             len: 0,
         }
     }
 
+    /// Adds `i` (a no-op if present).
     #[inline]
-    fn insert(&mut self, i: usize) {
+    pub fn insert(&mut self, i: usize) {
         let (w, bit) = (i / 64, 1u64 << (i % 64));
         if self.words[w] & bit == 0 {
             self.words[w] |= bit;
@@ -117,8 +123,9 @@ impl BitSet {
         }
     }
 
+    /// Removes `i` (a no-op if absent).
     #[inline]
-    fn remove(&mut self, i: usize) {
+    pub fn remove(&mut self, i: usize) {
         let (w, bit) = (i / 64, 1u64 << (i % 64));
         if self.words[w] & bit != 0 {
             self.words[w] &= !bit;
@@ -126,16 +133,30 @@ impl BitSet {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The members in ascending order.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words
             .iter()
             .enumerate()
             .flat_map(|(w, &word)| set_bits(word).map(move |b| w * 64 + b))
+    }
+
+    /// Visits the members in ascending order, keeping those for which
+    /// `keep` returns true. `keep` may not add members.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for w in 0..self.words.len() {
+            for b in set_bits(self.words[w]) {
+                if !keep(w * 64 + b) {
+                    self.words[w] &= !(1 << b);
+                    self.len -= 1;
+                }
+            }
+        }
     }
 }
 
@@ -149,6 +170,28 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
             b
         })
     })
+}
+
+/// A (port, VC) pair packed in one `u16`, or [`PortVc::NONE`]: the
+/// per-slot route and owner words the plan reads and the commit writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PortVc(u16);
+
+impl PortVc {
+    /// No pair: no route decided yet, or no owner.
+    const NONE: PortVc = PortVc(u16::MAX);
+
+    #[inline]
+    fn new(port: u8, vc: u8) -> Self {
+        // Ports are fewer than 13 and VCs fewer than 32, so no real pair
+        // packs to `NONE`.
+        PortVc(u16::from(port) << 8 | u16::from(vc))
+    }
+
+    #[inline]
+    fn get(self) -> Option<(u8, u8)> {
+        (self != Self::NONE).then_some(((self.0 >> 8) as u8, self.0 as u8))
+    }
 }
 
 /// Every router input FIFO of a network: one fixed-depth ring per channel
@@ -188,13 +231,18 @@ impl Fifos {
     }
 
     /// Pushes to the tail of slot `s`, or returns the flit if it is full.
+    /// Head and length stay below `depth`, so the tail wraps by one
+    /// compare instead of a division.
     #[inline]
     fn try_push(&mut self, s: usize, flit: Flit) -> Result<(), Flit> {
         let len = self.len[s] as usize;
         if len == self.depth {
             return Err(flit);
         }
-        let at = (self.head[s] as usize + len) % self.depth;
+        let mut at = self.head[s] as usize + len;
+        if at >= self.depth {
+            at -= self.depth;
+        }
         self.buf[s * self.depth + at] = flit;
         self.len[s] += 1;
         Ok(())
@@ -203,8 +251,117 @@ impl Fifos {
     #[inline]
     fn pop(&mut self, s: usize) -> Option<Flit> {
         let flit = *self.head(s)?;
-        self.head[s] = ((self.head[s] as usize + 1) % self.depth) as u8;
+        let next = self.head[s] + 1;
+        self.head[s] = if next as usize == self.depth { 0 } else { next };
         self.len[s] -= 1;
+        Some(flit)
+    }
+}
+
+/// Entries per chunk of the [`Sources`] pool (a power of two).
+const SOURCE_CHUNK: usize = 256;
+
+/// The end of a [`Sources`] list.
+const NIL: u32 = u32::MAX;
+
+/// Every endpoint's unbounded source queue (the open-loop injection model):
+/// singly linked lists threaded through one flit pool shared by all
+/// endpoints. The pool grows by fixed-size chunks that never move, and a
+/// popped entry is reused by whichever endpoint pushes next, so the pool
+/// holds the peak *total* backlog. A driver that bounds that backlog
+/// reserves it once ([`Network::reserve_sources`]) and never allocates.
+#[derive(Debug, Clone)]
+struct Sources {
+    /// Chunks of [`SOURCE_CHUNK`] entries, each a flit and the index of the
+    /// next entry in its list (or the free list); filled in order.
+    chunks: Vec<Vec<(Flit, u32)>>,
+    /// Entries handed out from the chunks so far.
+    used: usize,
+    /// Head of the free list.
+    free: u32,
+    /// Per endpoint: first and last entry (`NIL` when empty), and length.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    lens: Vec<u32>,
+    /// Flits queued over all endpoints.
+    total: usize,
+}
+
+impl Sources {
+    fn new(endpoints: usize) -> Self {
+        Sources {
+            chunks: Vec::new(),
+            used: 0,
+            free: NIL,
+            head: vec![NIL; endpoints],
+            tail: vec![NIL; endpoints],
+            lens: vec![0; endpoints],
+            total: 0,
+        }
+    }
+
+    /// Makes room for `backlog` flits queued at once, over all endpoints.
+    fn reserve(&mut self, backlog: usize) {
+        let chunks = backlog.div_ceil(SOURCE_CHUNK);
+        self.chunks
+            .reserve(chunks.saturating_sub(self.chunks.len()));
+        while self.chunks.len() < chunks {
+            self.chunks.push(Vec::with_capacity(SOURCE_CHUNK));
+        }
+    }
+
+    #[inline]
+    fn entry(&mut self, i: u32) -> &mut (Flit, u32) {
+        let i = i as usize;
+        &mut self.chunks[i / SOURCE_CHUNK][i % SOURCE_CHUNK]
+    }
+
+    fn len(&self, ep: usize) -> usize {
+        self.lens[ep] as usize
+    }
+
+    fn push(&mut self, ep: usize, flit: Flit) {
+        let i = if self.free != NIL {
+            let i = self.free;
+            let e = self.entry(i);
+            let next = e.1;
+            *e = (flit, NIL);
+            self.free = next;
+            i
+        } else {
+            let (chunk, i) = (self.used / SOURCE_CHUNK, self.used);
+            if chunk == self.chunks.len() {
+                self.chunks.push(Vec::with_capacity(SOURCE_CHUNK));
+            }
+            self.chunks[chunk].push((flit, NIL));
+            self.used += 1;
+            u32::try_from(i).expect("source backlog fits u32 indices")
+        };
+        match self.tail[ep] {
+            NIL => self.head[ep] = i,
+            t => self.entry(t).1 = i,
+        }
+        self.tail[ep] = i;
+        self.lens[ep] += 1;
+        self.total += 1;
+    }
+
+    fn pop(&mut self, ep: usize) -> Option<Flit> {
+        let i = self.head[ep];
+        if i == NIL {
+            return None;
+        }
+        let free = self.free;
+        let e = self.entry(i);
+        let (flit, next) = *e;
+        e.1 = free;
+        self.free = i;
+        self.head[ep] = next;
+        if next == NIL {
+            self.tail[ep] = NIL;
+        }
+        self.lens[ep] -= 1;
+        self.total -= 1;
         Some(flit)
     }
 }
@@ -335,16 +492,18 @@ pub struct Network {
     coords: Vec<Coord>,
     /// Input FIFOs, per channel slot.
     fifos: Fifos,
-    /// Route assignment (output port, output VC) of the packet in progress
-    /// per input slot: set by its head, cleared by its tail.
-    assigned: Vec<Option<(u8, u8)>>,
-    /// Wormhole path lock per (node, output port): the input port that owns
-    /// the output until its packet's tail passes.
-    lock: Vec<Option<u8>>,
-    /// Owner (input port, input VC) of each output slot's downstream VC for
-    /// a multi-flit packet in progress (VC routers).
-    vc_owner: Vec<Option<(u8, u8)>>,
-    /// Downstream credits per output slot (meaningful where `counted`).
+    /// Route decision (output port, output VC) of the packet at the head of
+    /// each input slot: computed once by its head flit, kept while the
+    /// packet's body follows, cleared when its tail leaves — route compute
+    /// runs once per packet and hop, not once per cycle a head waits.
+    route: Vec<PortVc>,
+    /// Owner (input port, input VC) of each output slot while a multi-flit
+    /// packet holds it: the wormhole path lock (one VC per port) and the
+    /// VC router's output-VC allocation.
+    owner: Vec<PortVc>,
+    /// Downstream credits per output slot (meaningful where `counted`). On
+    /// a router link they equal the downstream FIFO's free space, flits in
+    /// the hop pipeline counted as occupying it.
     credits: Vec<u8>,
     /// Whether each (node, output port) tracks credits: false for endpoint
     /// sinks, which always accept one flit per cycle.
@@ -354,8 +513,8 @@ pub struct Network {
     /// The (node, output port) index feeding each (node, input port) from
     /// another router, which the input returns credits to.
     upstream: Vec<Option<u32>>,
-    /// Per-endpoint unbounded source queue (open-loop injection model).
-    sources: Vec<VecDeque<Flit>>,
+    /// Per-endpoint unbounded source queues (open-loop injection model).
+    sources: Sources,
     /// Per-endpoint injection entry point: (node, input port).
     entries: Vec<(usize, usize)>,
     ejected: Vec<(EndpointId, Flit)>,
@@ -369,10 +528,6 @@ pub struct Network {
     /// max_vcs + vc`: the planners visit only these inputs, and a router
     /// is on the `active` worklist exactly while its mask is non-zero.
     busy: Vec<u32>,
-    /// Cached route decision for the current head of each (node, port, vc)
-    /// FIFO, invalidated on dequeue — route compute runs once per head,
-    /// not once per cycle it waits.
-    route_cache: Vec<Option<(u8, u8)>>,
     max_vcs: usize,
     /// Flits in flight through extra pipeline stages, in arrival order:
     /// (arrival cycle, node, slot, flit). Empty when
@@ -380,9 +535,6 @@ pub struct Network {
     in_transit: VecDeque<(u64, usize, usize, Flit)>,
     /// Delayed ejections (pipelined networks).
     in_transit_eject: VecDeque<(u64, EndpointId, Flit)>,
-    /// Flits bound for each slot's FIFO but still in the pipeline; counted
-    /// against downstream space by wormhole ready checks.
-    pending_arrivals: Vec<u32>,
     /// Routers with at least one buffered flit, the only ones the planners
     /// visit, in ascending node order.
     active: BitSet,
@@ -555,16 +707,15 @@ impl Network {
             port_vcs,
             coords: dims.iter().collect(),
             fifos: Fifos::new(slots, cfg.fifo_depth),
-            assigned: vec![None; slots],
-            lock: vec![None; n_nodes * np],
-            vc_owner: vec![None; slots],
+            route: vec![PortVc::NONE; slots],
+            owner: vec![PortVc::NONE; slots],
             // A downstream input mirrors its feeding output's direction
             // class, so each output slot starts with one FIFO of credit.
             credits: vec![cfg.fifo_depth as u8; slots],
             counted,
             out_links,
             upstream,
-            sources: vec![VecDeque::new(); n_eps],
+            sources: Sources::new(n_eps),
             entries,
             ejected: Vec::with_capacity(n_eps),
             cycle: 0,
@@ -573,11 +724,9 @@ impl Network {
             last_progress: 0,
             traversals: vec![0; n_nodes * np],
             busy: vec![0; n_nodes],
-            route_cache: vec![None; slots],
             max_vcs,
             in_transit: VecDeque::new(),
             in_transit_eject: VecDeque::new(),
-            pending_arrivals: vec![0; slots],
             active: BitSet::new(n_nodes),
             active_src: BitSet::new(n_eps),
             scratch_inject: Vec::with_capacity(n_eps),
@@ -731,7 +880,7 @@ impl Network {
             injected: self.stats.injected,
             ejected: self.stats.ejected,
             in_flight: self.in_flight,
-            queued: self.sources.iter().map(VecDeque::len).sum(),
+            queued: self.sources.total,
             cycles_since_progress: self.cycle - self.last_progress,
         }
     }
@@ -776,7 +925,7 @@ impl Network {
 
     /// Total endpoints.
     pub fn endpoint_count(&self) -> usize {
-        self.sources.len()
+        self.entries.len()
     }
 
     /// Queues a flit at endpoint `ep`'s (unbounded) source queue.
@@ -790,13 +939,21 @@ impl Network {
             self.endpoint_alive(ep),
             "flit enqueued at dead endpoint {ep:?}; check Network::endpoint_alive first"
         );
-        self.sources[ep.0].push_back(flit);
+        self.sources.push(ep.0, flit);
         self.active_src.insert(ep.0);
+    }
+
+    /// Makes room for `backlog` flits waiting in source queues at once, over
+    /// all endpoints: a driver that bounds its total backlog (the manycore
+    /// machine bounds it by the requests its cores may have outstanding)
+    /// reserves it here, and queueing never allocates afterwards.
+    pub fn reserve_sources(&mut self, backlog: usize) {
+        self.sources.reserve(backlog);
     }
 
     /// Number of flits waiting in `ep`'s source queue.
     pub fn source_len(&self, ep: EndpointId) -> usize {
-        self.sources[ep.0].len()
+        self.sources.len(ep.0)
     }
 
     /// The per-(node, output port) flit traversal counters.
@@ -842,7 +999,6 @@ impl Network {
             .is_some_and(|&(arrive, ..)| arrive <= self.cycle)
         {
             let (_, node, slot, flit) = self.in_transit.pop_front().expect("checked front");
-            self.pending_arrivals[slot] -= 1;
             self.push_input(node, slot, flit);
             arrived_any = true;
         }
@@ -904,8 +1060,8 @@ impl Network {
         for i in 0..self.scratch_inject.len() {
             let e = self.scratch_inject[i] as usize;
             let (node, ip) = self.entries[e];
-            let flit = self.sources[e].pop_front().expect("planned non-empty");
-            if self.sources[e].is_empty() {
+            let flit = self.sources.pop(e).expect("planned non-empty");
+            if self.sources.len(e) == 0 {
                 self.active_src.remove(e);
             }
             self.push_input(node, (node * self.ports.len() + ip) * self.max_vcs, flit);
@@ -977,7 +1133,7 @@ impl Network {
 
     /// Phase A: plans route/VC/switch grants for every active router into
     /// `self.transfers`, in ascending node order. Planning reads the router
-    /// state immutably and mutates only arbiter state, route caches and
+    /// state immutably and mutates only arbiter state, route words and
     /// scratch, so each decision observes exactly the cycle-start state.
     /// Blocked-request telemetry is recorded as it is decided.
     fn plan(&mut self, tel: Option<&mut NetTelemetry>) {
@@ -987,13 +1143,11 @@ impl Network {
             conn,
             coords,
             fifos,
-            assigned,
-            lock,
-            vc_owner,
+            route,
+            owner,
             credits,
             counted,
             out_links,
-            pending_arrivals,
             busy,
             fault_plan,
             max_vcs,
@@ -1001,7 +1155,6 @@ impl Network {
             out_rr,
             in_rr_vc,
             sw_alloc,
-            route_cache,
             scratch,
             transfers,
             ..
@@ -1012,13 +1165,10 @@ impl Network {
             conn,
             coords,
             fifos,
-            assigned,
-            lock,
-            vc_owner,
+            owner,
             credits,
             counted,
             out_links,
-            pending_arrivals,
             busy,
             fault_plan: fault_plan.as_deref(),
             max_vcs: *max_vcs,
@@ -1027,7 +1177,7 @@ impl Network {
             out_rr,
             in_rr_vc,
             sw_alloc,
-            route_cache,
+            route,
             scratch,
             transfers,
             tel,
@@ -1059,21 +1209,17 @@ impl Network {
             let out_slot = out * vcs + out_vc;
 
             let flit = self.pop_input(node, in_slot);
-            self.route_cache[in_slot] = None;
 
-            // Path bookkeeping.
-            if flit.kind.is_head() && !flit.kind.is_tail() {
-                self.lock[out] = Some(t.in_port);
-                self.vc_owner[out_slot] = Some((t.in_port, t.in_vc));
-                self.assigned[in_slot] = Some((t.out_port, t.out_vc));
-            } else if flit.kind.is_tail() && !flit.kind.is_head() {
-                self.lock[out] = None;
-                self.vc_owner[out_slot] = None;
-                self.assigned[in_slot] = None;
+            // Path bookkeeping: a packet's head takes the output slot and
+            // its tail frees it, and the input keeps the packet's route
+            // until the tail leaves.
+            match (flit.kind.is_head(), flit.kind.is_tail()) {
+                (true, false) => self.owner[out_slot] = PortVc::new(t.in_port, t.in_vc),
+                (false, true) => self.owner[out_slot] = PortVc::NONE,
+                _ => {}
             }
-            if self.counted[out] {
-                debug_assert!(self.credits[out_slot] > 0, "send without credit");
-                self.credits[out_slot] -= 1;
+            if flit.kind.is_tail() {
+                self.route[in_slot] = PortVc::NONE;
             }
 
             // Credit return to whoever feeds this input (1-cycle latency
@@ -1090,6 +1236,9 @@ impl Network {
             self.traversals[out] += 1;
             match self.out_links[out] {
                 LinkTarget::Router { node: dn, input } => {
+                    // Router links are the counted ones.
+                    debug_assert!(self.credits[out_slot] > 0, "send without credit");
+                    self.credits[out_slot] -= 1;
                     let (dn, down_slot) = (dn as usize, input as usize * vcs + out_vc);
                     if stages == 0 {
                         self.push_input(dn, down_slot, flit);
@@ -1099,7 +1248,6 @@ impl Network {
                         // single-cycle hop would make it. Arrival cycles
                         // are uniform within a cycle, so the queue stays
                         // sorted by arrival.
-                        self.pending_arrivals[down_slot] += 1;
                         self.in_transit.push_back((
                             self.cycle + 1 + stages as u64,
                             dn,
@@ -1167,13 +1315,10 @@ struct PlanShared<'a> {
     conn: &'a Connectivity,
     coords: &'a [Coord],
     fifos: &'a Fifos,
-    assigned: &'a [Option<(u8, u8)>],
-    lock: &'a [Option<u8>],
-    vc_owner: &'a [Option<(u8, u8)>],
+    owner: &'a [PortVc],
     credits: &'a [u8],
     counted: &'a [bool],
     out_links: &'a [LinkTarget],
-    pending_arrivals: &'a [u32],
     busy: &'a [u32],
     fault_plan: Option<&'a RouteTable>,
     max_vcs: usize,
@@ -1188,34 +1333,39 @@ impl PlanShared<'_> {
     }
 }
 
-/// Mutable state the plan phase owns: arbiters, route caches, scratch,
+/// Mutable state the plan phase owns: arbiters, route words, scratch,
 /// the transfer list it fills, and the attached telemetry (if any).
 struct PlanState<'a> {
     out_rr: &'a mut [RoundRobin],
     in_rr_vc: &'a mut [RoundRobin],
     sw_alloc: &'a mut [Wavefront],
-    route_cache: &'a mut [Option<(u8, u8)>],
+    route: &'a mut [PortVc],
     scratch: &'a mut PlanScratch,
     transfers: &'a mut Vec<Transfer>,
     tel: Option<&'a mut NetTelemetry>,
 }
 
-/// Route decision (output port, output VC) for the head `f` of input slot
-/// `slot` = (node, ip, vc), memoized per head in the route cache.
+/// Route decision (output port, output VC) for the head flit of input slot
+/// `slot` = (node, ip, vc), kept per packet in the slot's route word. Only
+/// a packet's head flit computes it: the body and tail find it kept.
 #[inline]
 fn head_route(
     px: &PlanShared<'_>,
-    route_cache: &mut [Option<(u8, u8)>],
+    route: &mut [PortVc],
     node: usize,
     ip: usize,
     vc: usize,
     slot: usize,
-    f: &Flit,
 ) -> (usize, u8) {
-    if let Some((op, ovc)) = route_cache[slot] {
+    if let Some((op, ovc)) = route[slot].get() {
         return (op as usize, ovc);
     }
-    let d = if f.kind.is_head() {
+    let f = px.fifos.head(slot).expect("busy input has a head");
+    assert!(
+        f.kind.is_head(),
+        "a body flit follows its head's kept route"
+    );
+    let (op, ovc) = {
         let coord = px.coords[node];
         let dec = if let Some(plan) = px.fault_plan {
             // Faulted network: all packets follow the deadlock-free
@@ -1239,12 +1389,10 @@ fn head_route(
             .conn
             .port_index(dec.out)
             .expect("every routed direction appears in the connectivity port map");
-        (op as u8, dec.out_vc)
-    } else {
-        px.assigned[slot].expect("body flit has a path")
+        (op, dec.out_vc)
     };
-    route_cache[slot] = Some(d);
-    (d.0 as usize, d.1)
+    route[slot] = PortVc::new(op as u8, ovc);
+    (op, ovc)
 }
 
 /// Wormhole plan: per-output round-robin arbitration qualified by
@@ -1264,39 +1412,31 @@ fn plan_wormhole(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
         // requested.
         let mut outs = 0u32;
         for ip in set_bits(u64::from(px.busy[node])) {
-            let f = px.fifos.head(base + ip).expect("busy input has a head");
-            let (op, _) = head_route(px, c.route_cache, node, ip, 0, base + ip, f);
+            let (op, _) = head_route(px, c.route, node, ip, 0, base + ip);
             c.scratch.req_mask[op] |= 1 << ip;
             outs |= 1 << op;
         }
         for op in set_bits(u64::from(outs)) {
             // Consume the mask, leaving it zeroed for the next router.
             let reqs = std::mem::take(&mut c.scratch.req_mask[op]);
+            // Downstream space: a router link's credits are its free
+            // slots (flits in the hop pipeline included).
             let ready = match px.out_links[base + op] {
-                LinkTarget::Router { input, .. } => {
-                    let ds = input as usize;
-                    px.fifos.len(ds) + (px.pending_arrivals[ds] as usize) < px.fifos.depth
-                }
+                LinkTarget::Router { .. } => px.credits[base + op] > 0,
                 LinkTarget::Endpoint(_) => true,
                 LinkTarget::None => false,
             };
             if !ready {
                 if let Some(t) = c.tel.as_deref_mut() {
-                    // The FIFO-space check above and the credit counter
-                    // must agree, or NoCredit attribution silently lies.
-                    debug_assert!(
-                        !px.has_credit(base + op, 0),
-                        "NoCredit stall recorded at node {node} port {op} \
-                         while the output still holds credit"
-                    );
                     for _ in 0..reqs.count_ones() {
                         t.record_blocked(node, op, 0, BlockCause::NoCredit);
                     }
                 }
                 continue;
             }
-            let winner = match px.lock[base + op] {
-                Some(owner) => (reqs & (1 << owner) != 0).then_some(owner as usize),
+            // A multi-flit packet holding the output locks out the rest.
+            let winner = match px.owner[base + op].get() {
+                Some((owner, _)) => (reqs & (1 << owner) != 0).then_some(owner as usize),
                 None => c.out_rr[base + op].pick_and_grant_mask(reqs),
             };
             if let Some(t) = c.tel.as_deref_mut() {
@@ -1352,14 +1492,13 @@ fn plan_vc(px: &PlanShared<'_>, active: &BitSet, c: &mut PlanState<'_>) {
             let slot0 = (base + ip) * vcs;
             let mut valid = 0u32;
             for v in set_bits(u64::from(vc_busy)) {
-                let f = px.fifos.head(slot0 + v).expect("busy VC has a head");
-                let (op, out_vc) = head_route(px, c.route_cache, node, ip, v, slot0 + v, f);
+                let (op, out_vc) = head_route(px, c.route, node, ip, v, slot0 + v);
                 // Ready-then-valid: request only with credit in hand and
                 // the output VC free (or owned by this packet).
                 let out = base + op;
                 let credit_ok = px.has_credit(out, out_vc as usize);
-                let owner_ok = match px.vc_owner[out * vcs + out_vc as usize] {
-                    None => f.kind.is_head(),
+                let owner_ok = match px.owner[out * vcs + out_vc as usize].get() {
+                    None => px.fifos.head(slot0 + v).is_some_and(|f| f.kind.is_head()),
                     Some(owner) => owner == (ip as u8, v as u8),
                 };
                 if credit_ok && owner_ok {
@@ -1833,6 +1972,101 @@ mod tests {
         assert_eq!(f.try_push(0, flit(3)), Err(flit(3)));
         assert_eq!(f.len(0), 2);
         assert_eq!(f.head(0).map(|x| x.packet_id), Some(1));
+    }
+
+    #[test]
+    fn ring_fifo_matches_a_deque_model_at_every_depth() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let slots = 2;
+        for depth in 1..=NetworkConfig::MAX_FIFO_DEPTH {
+            let mut rng = SmallRng::seed_from_u64(depth as u64);
+            let mut f = Fifos::new(slots, depth);
+            let mut model = vec![VecDeque::new(); slots];
+            let (mut id, mut rejects, mut pops) = (0u64, 0, 0);
+            // Phases that favour pushes fill the rings to rejection, and
+            // phases that favour pops drain them, so every ring fills,
+            // drains and wraps several times.
+            for step in 0..16 * depth + 64 {
+                let s = rng.gen_range(0..slots);
+                let filling = (step / (4 * depth)).is_multiple_of(2);
+                if rng.gen_bool(if filling { 0.8 } else { 0.3 }) {
+                    id += 1;
+                    let got = f.try_push(s, flit(id));
+                    if model[s].len() == depth {
+                        assert_eq!(got, Err(flit(id)), "depth {depth}: full ring rejects");
+                        rejects += 1;
+                    } else {
+                        assert_eq!(got, Ok(()), "depth {depth}");
+                        model[s].push_back(id);
+                    }
+                } else {
+                    let want = model[s].pop_front();
+                    pops += usize::from(want.is_some());
+                    assert_eq!(f.pop(s).map(|x| x.packet_id), want, "depth {depth}");
+                }
+                assert_eq!(f.len(s), model[s].len(), "depth {depth}");
+                assert_eq!(
+                    f.head(s).map(|x| x.packet_id),
+                    model[s].front().copied(),
+                    "depth {depth}"
+                );
+            }
+            assert!(rejects > 0, "depth {depth}: a full ring was reached");
+            assert!(pops > 2 * slots * depth, "depth {depth}: the rings wrapped");
+        }
+    }
+
+    #[test]
+    fn source_pool_matches_per_endpoint_deques_and_reuses_entries() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let eps = 5;
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut pool = Sources::new(eps);
+        let mut model = vec![VecDeque::new(); eps];
+        let (mut id, mut peak) = (0u64, 0);
+        // Backlogs swing past several chunks and back down to empty.
+        for step in 0..40 * SOURCE_CHUNK {
+            let e = rng.gen_range(0..eps);
+            let filling = (step / (6 * SOURCE_CHUNK)).is_multiple_of(2);
+            if rng.gen_bool(if filling { 0.7 } else { 0.3 }) {
+                id += 1;
+                pool.push(e, flit(id));
+                model[e].push_back(id);
+            } else {
+                assert_eq!(pool.pop(e).map(|f| f.packet_id), model[e].pop_front());
+            }
+            assert_eq!(pool.len(e), model[e].len());
+            let total: usize = model.iter().map(VecDeque::len).sum();
+            assert_eq!(pool.total, total);
+            peak = peak.max(total);
+        }
+        // Popped entries are reused: the pool holds the peak backlog only.
+        assert_eq!(pool.used, peak);
+        assert!(peak > 2 * SOURCE_CHUNK && (id as usize) > 2 * peak);
+    }
+
+    #[test]
+    fn reserved_source_pool_does_not_grow_up_to_its_reservation() {
+        let mut pool = Sources::new(3);
+        pool.reserve(2 * SOURCE_CHUNK + 1);
+        let chunks = pool.chunks.len();
+        assert_eq!(chunks, 3);
+        for i in 0..2 * SOURCE_CHUNK + 1 {
+            pool.push(i % 3, flit(i as u64));
+        }
+        assert_eq!(pool.chunks.len(), chunks);
+        assert!(pool.chunks.iter().all(|c| c.capacity() == SOURCE_CHUNK));
+    }
+
+    #[test]
+    fn port_vc_words_round_trip() {
+        for port in 0..=Dir::ALL.len() as u8 {
+            for vc in 0..32 {
+                assert_eq!(PortVc::new(port, vc).get(), Some((port, vc)));
+                assert_ne!(PortVc::new(port, vc), PortVc::NONE);
+            }
+        }
+        assert_eq!(PortVc::NONE.get(), None);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! `Network::step` performs no heap allocation in steady state.
+//! `Network::step` performs no heap allocation in steady state, and
+//! neither does the manycore machine's cycle loop over two networks.
 //!
 //! A counting wrapper around the system allocator tallies every allocation
 //! in this test binary (which is why this lives alone in its own
@@ -17,6 +18,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use ruche_manycore::prelude::{Op, SystemConfig, Workload};
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -207,4 +209,60 @@ fn assert_event_drive_alloc_free(cfg: NetworkConfig, label: &str) {
         "{label}: {measured} heap allocations inside steady-state \
          step/fast_forward calls"
     );
+}
+
+/// A machine run's allocations do not grow with the cycles it simulates:
+/// one kernel shape run for `k` and for `4k` iterations allocates the same
+/// number of times, so everything past set-up (the two networks, the bank
+/// and server queues, the latency memo) runs allocation-free once warm.
+#[test]
+fn machine_run_allocations_do_not_grow_with_its_length() {
+    let dims = Dims::new(8, 4);
+    // Each iteration streams LLC loads, a store, an atomic and a
+    // scratchpad load from the next tile, then waits and synchronizes:
+    // every queue of the machine fills and drains once per iteration.
+    let kernel = |iters: usize| Workload {
+        name: format!("stream x{iters}"),
+        programs: (0..dims.count())
+            .map(|t| {
+                let peer = dims.coord((t + 1) % dims.count());
+                let mut once: Vec<Op> = (0..12).map(|k| Op::Load((t * 64 + k) as u64)).collect();
+                once.extend([
+                    Op::Store(t as u64),
+                    Op::Amo(7),
+                    Op::LoadTile(peer),
+                    Op::Compute(3),
+                    Op::WaitAll,
+                    Op::Barrier,
+                ]);
+                once.repeat(iters)
+            })
+            .collect(),
+    };
+    for cfg in [
+        NetworkConfig::mesh(dims),
+        NetworkConfig::half_ruche(dims, 2, CrossbarScheme::Depopulated),
+        NetworkConfig::half_torus(dims),
+    ] {
+        let label = cfg.label();
+        let sys = SystemConfig::new(cfg);
+        let (short, long) = (kernel(2), kernel(8));
+        // Warm the process-wide crossbar memo outside the count.
+        ruche_manycore::machine::run(&sys, &short).unwrap();
+        let count = |w: &Workload| {
+            let before = allocations();
+            let res = ruche_manycore::machine::run(&sys, w).unwrap();
+            (allocations() - before, res.cycles)
+        };
+        let (a_short, c_short) = count(&short);
+        let (a_long, c_long) = count(&long);
+        assert!(
+            c_long > 3 * c_short,
+            "{label}: {c_long} vs {c_short} cycles"
+        );
+        assert_eq!(
+            a_long, a_short,
+            "{label}: {c_short} cycles allocate {a_short} times, {c_long} cycles {a_long}"
+        );
+    }
 }

@@ -1,4 +1,5 @@
-//! A minimal deterministic JSON value model, writer, and parser.
+//! A minimal deterministic JSON value model, writer, parser, and an
+//! allocation-free checker ([`check`]) that accepts exactly what [`parse`] does.
 //!
 //! Telemetry blobs must be byte-identical across runs and platforms, so the
 //! codec is intentionally narrow: objects, arrays, strings (no escapes
@@ -233,6 +234,45 @@ pub fn parse(s: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
+/// Checks that `s` is one value in the telemetry JSON subset, accepting
+/// and rejecting exactly what [`parse`] does (with the same error), but
+/// without building the value: nothing is allocated. The result store
+/// validates every stored line this way.
+///
+/// # Errors
+///
+/// Returns the [`JsonError`] that [`parse`] would return for `s`.
+pub fn check(s: &str) -> Result<(), JsonError> {
+    let bytes = s.as_bytes();
+    let mut pos = 0;
+    check_value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(JsonError {
+            at: pos,
+            expected: "end of input",
+        });
+    }
+    Ok(())
+}
+
+/// [`parse_value`] without the tree: containers and strings are walked in
+/// place, and scalars, which own no heap memory, are parsed and dropped.
+fn check_value(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
+    skip_ws(b, pos);
+    match b.get(*pos) {
+        Some(b'{') => walk_obj(
+            b,
+            pos,
+            |b, pos| scan_str(b, pos, None),
+            |(), b, pos| check_value(b, pos),
+        ),
+        Some(b'[') => walk_arr(b, pos, check_value),
+        Some(b'"') => scan_str(b, pos, None),
+        _ => parse_value(b, pos).map(drop),
+    }
+}
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -321,43 +361,52 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 }
 
 fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+    let mut out = String::new();
+    scan_str(b, pos, Some(&mut out))?;
+    Ok(out)
+}
+
+/// Consumes the string starting at the opening quote at `pos`, appending
+/// its decoded contents to `out` when given.
+fn scan_str(b: &[u8], pos: &mut usize, mut out: Option<&mut String>) -> Result<(), JsonError> {
     debug_assert_eq!(b.get(*pos), Some(&b'"'));
     *pos += 1;
-    let mut out = String::new();
     loop {
+        // A run of plain characters, up to the next quote or backslash. Both
+        // are ASCII, so the run of a `&str`'s bytes is itself a `&str`.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .unwrap_or(b.len() - *pos);
+        if let Some(out) = out.as_deref_mut() {
+            out.push_str(
+                std::str::from_utf8(&b[*pos..*pos + run])
+                    .expect("a run between ASCII delimiters of a str is UTF-8"),
+            );
+        }
+        *pos += run;
         match b.get(*pos) {
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(());
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash.
                 *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
+                let c = match b.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
                     _ => {
                         return Err(JsonError {
                             at: *pos,
                             expected: "an escaped quote or backslash",
                         })
                     }
+                };
+                if let Some(out) = out.as_deref_mut() {
+                    out.push(c);
                 }
                 *pos += 1;
-            }
-            Some(&c) => {
-                // Multi-byte UTF-8 sequences pass through byte by byte;
-                // the input came from a &str, so they reassemble validly.
-                let len = utf8_len(c);
-                let end = *pos + len;
-                let chunk = b.get(*pos..end).ok_or(JsonError {
-                    at: *pos,
-                    expected: "a complete UTF-8 sequence",
-                })?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|_| JsonError {
-                    at: *pos,
-                    expected: "valid UTF-8",
-                })?);
-                *pos = end;
             }
             None => {
                 return Err(JsonError {
@@ -369,31 +418,45 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
+fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+    let mut items = Vec::new();
+    walk_arr(b, pos, |b, pos| {
+        items.push(parse_value(b, pos)?);
+        Ok(())
+    })?;
+    Ok(Json::Arr(items))
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+    let mut pairs = Vec::new();
+    walk_obj(b, pos, parse_str, |key, b, pos| {
+        pairs.push((key, parse_value(b, pos)?));
+        Ok(())
+    })?;
+    Ok(Json::Obj(pairs))
+}
+
+/// Walks the array whose `[` is at `pos`, handing each element's position
+/// to `item`, which consumes the element.
+fn walk_arr(
+    b: &[u8],
+    pos: &mut usize,
+    mut item: impl FnMut(&[u8], &mut usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
     *pos += 1; // '['
-    let mut items = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b']') {
         *pos += 1;
-        return Ok(Json::Arr(items));
+        return Ok(());
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        item(b, pos)?;
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return Ok(Json::Arr(items));
+                return Ok(());
             }
             _ => {
                 return Err(JsonError {
@@ -405,13 +468,20 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Walks the object whose `{` is at `pos`: `key` consumes each key string
+/// from its opening quote, and `value` consumes the value that follows
+/// the `:`, given what `key` returned.
+fn walk_obj<K>(
+    b: &[u8],
+    pos: &mut usize,
+    key: impl Fn(&[u8], &mut usize) -> Result<K, JsonError>,
+    mut value: impl FnMut(K, &[u8], &mut usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
     *pos += 1; // '{'
-    let mut pairs = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Json::Obj(pairs));
+        return Ok(());
     }
     loop {
         skip_ws(b, pos);
@@ -421,7 +491,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 expected: "a key string",
             });
         }
-        let key = parse_str(b, pos)?;
+        let k = key(b, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(JsonError {
@@ -430,14 +500,13 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             });
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
-        pairs.push((key, val));
+        value(k, b, pos)?;
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Obj(pairs));
+                return Ok(());
             }
             _ => {
                 return Err(JsonError {
