@@ -80,6 +80,57 @@ struct Sample {
     detour_ruche_fraction: f64,
 }
 
+/// A point's summary: means over its verified samples (zero when none
+/// verified). The JSON and the printed table both render from it.
+#[derive(Debug, PartialEq)]
+struct Summary {
+    saturation: f64,
+    zero_load: f64,
+    connected_pairs: f64,
+    detour_ruche_fraction: f64,
+}
+
+impl Summary {
+    fn of(group: &[Sample]) -> Self {
+        let live: Vec<&Sample> = group.iter().filter(|s| s.verified).collect();
+        let mean = |f: fn(&Sample) -> f64| {
+            if live.is_empty() {
+                0.0
+            } else {
+                live.iter().map(|s| f(s)).sum::<f64>() / live.len() as f64
+            }
+        };
+        Summary {
+            saturation: mean(|s| s.saturation),
+            zero_load: mean(|s| s.zero_load),
+            connected_pairs: mean(|s| s.connected_pairs),
+            detour_ruche_fraction: mean(|s| s.detour_ruche_fraction),
+        }
+    }
+}
+
+/// One fault rate of one topology.
+struct Point {
+    rate: f64,
+    summary: Summary,
+    samples: Vec<Sample>,
+}
+
+/// One topology's degradation curve.
+struct Curve {
+    label: String,
+    points: Vec<Point>,
+}
+
+/// The whole sweep, as the JSON and the table render it.
+struct Sweep {
+    quick: bool,
+    dims: Dims,
+    rates: Vec<f64>,
+    seeds: Vec<u64>,
+    curves: Vec<Curve>,
+}
+
 /// Per-link traversal totals of a probed run.
 fn traversal_profile(cfg: &NetworkConfig, tb: &Testbench) -> (Vec<u64>, Vec<Dir>) {
     let (_, tel) = run_probed(cfg, tb, WINDOW).expect("attribution run is valid");
@@ -145,6 +196,11 @@ fn metric_tb(rate: f64, seed: u64, faults: &FaultModel, quick: bool) -> Testbenc
 /// Renders the full degradation sweep as deterministic JSON. Split from
 /// [`run`] so the determinism test can compare two renders byte for byte.
 pub fn render(opts: Opts) -> String {
+    to_json(&sweep(opts))
+}
+
+/// Verifies and simulates every `(topology, fault rate, seed)` sample.
+fn sweep(opts: Opts) -> Sweep {
     let dims = if opts.quick {
         Dims::new(8, 8)
     } else {
@@ -250,18 +306,49 @@ pub fn render(opts: Opts) -> String {
         });
     }
 
-    // Phase 3: deterministic JSON.
+    let curves = topos
+        .iter()
+        .zip(samples)
+        .map(|(cfg, groups)| Curve {
+            label: cfg.label(),
+            points: rates
+                .iter()
+                .zip(groups)
+                .map(|(&rate, samples)| Point {
+                    rate,
+                    summary: Summary::of(&samples),
+                    samples,
+                })
+                .collect(),
+        })
+        .collect();
+    Sweep {
+        quick: opts.quick,
+        dims,
+        rates,
+        seeds,
+        curves,
+    }
+}
+
+/// Deterministic JSON rendering of a sweep.
+fn to_json(sweep: &Sweep) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"bench\": \"degradation\",");
     let _ = writeln!(out, "  \"model_version\": \"{MODEL_VERSION}\",");
-    let _ = writeln!(out, "  \"quick\": {},", opts.quick);
-    let _ = writeln!(out, "  \"dims\": \"{}x{}\",", dims.cols, dims.rows);
+    let _ = writeln!(out, "  \"quick\": {},", sweep.quick);
+    let _ = writeln!(
+        out,
+        "  \"dims\": \"{}x{}\",",
+        sweep.dims.cols, sweep.dims.rows
+    );
     let _ = writeln!(out, "  \"pattern\": \"uniform-random\",");
     let _ = writeln!(
         out,
         "  \"fault_rates\": [{}],",
-        rates
+        sweep
+            .rates
             .iter()
             .map(|r| format!("{r:.2}"))
             .collect::<Vec<_>>()
@@ -270,46 +357,39 @@ pub fn render(opts: Opts) -> String {
     let _ = writeln!(
         out,
         "  \"seeds\": [{}],",
-        seeds
+        sweep
+            .seeds
             .iter()
             .map(u64::to_string)
             .collect::<Vec<_>>()
             .join(", ")
     );
     let _ = writeln!(out, "  \"topologies\": [");
-    for (ti, cfg) in topos.iter().enumerate() {
+    for (ci, curve) in sweep.curves.iter().enumerate() {
         let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"label\": \"{}\",", cfg.label());
+        let _ = writeln!(out, "      \"label\": \"{}\",", curve.label);
         let _ = writeln!(out, "      \"points\": [");
-        for (ri, &p) in rates.iter().enumerate() {
-            let group = &samples[ti][ri];
-            let mean = |f: &dyn Fn(&Sample) -> f64| {
-                let live: Vec<f64> = group.iter().filter(|s| s.verified).map(f).collect();
-                if live.is_empty() {
-                    0.0
-                } else {
-                    live.iter().sum::<f64>() / live.len() as f64
-                }
-            };
+        for (pi, point) in curve.points.iter().enumerate() {
+            let m = &point.summary;
             let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"fault_rate\": {p:.2},");
+            let _ = writeln!(out, "          \"fault_rate\": {:.2},", point.rate);
             let _ = writeln!(
                 out,
                 "          \"mean_saturation_throughput\": {:.6},",
-                mean(&|s| s.saturation)
+                m.saturation
             );
             let _ = writeln!(
                 out,
                 "          \"mean_zero_load_latency\": {:.6},",
-                mean(&|s| s.zero_load)
+                m.zero_load
             );
             let _ = writeln!(
                 out,
                 "          \"mean_connected_pairs\": {:.6},",
-                mean(&|s| s.connected_pairs)
+                m.connected_pairs
             );
             let _ = writeln!(out, "          \"samples\": [");
-            for (si, s) in group.iter().enumerate() {
+            for (si, s) in point.samples.iter().enumerate() {
                 let _ = writeln!(out, "            {{");
                 let _ = writeln!(out, "              \"seed\": {},", s.seed);
                 let _ = writeln!(out, "              \"verified\": {},", s.verified);
@@ -341,19 +421,28 @@ pub fn render(opts: Opts) -> String {
                     s.detour_ruche_fraction
                 );
                 let _ = write!(out, "            }}");
-                let _ = writeln!(out, "{}", if si + 1 < group.len() { "," } else { "" });
+                let _ = writeln!(out, "{}", comma(si, point.samples.len()));
             }
             let _ = writeln!(out, "          ]");
             let _ = write!(out, "        }}");
-            let _ = writeln!(out, "{}", if ri + 1 < rates.len() { "," } else { "" });
+            let _ = writeln!(out, "{}", comma(pi, curve.points.len()));
         }
         let _ = writeln!(out, "      ]");
         let _ = write!(out, "    }}");
-        let _ = writeln!(out, "{}", if ti + 1 < topos.len() { "," } else { "" });
+        let _ = writeln!(out, "{}", comma(ci, sweep.curves.len()));
     }
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
+}
+
+/// The separator after element `i` of a `len`-element JSON list.
+fn comma(i: usize, len: usize) -> &'static str {
+    if i + 1 < len {
+        ","
+    } else {
+        ""
+    }
 }
 
 /// Runs the degradation sweep: prints the summary table and writes
@@ -363,8 +452,7 @@ pub fn run(opts: Opts) {
         "Degradation",
         "graceful degradation under link/router faults: mesh vs Half Ruche vs Full Ruche",
     );
-    let json = render(opts);
-    // Re-derive the printed summary from the same data the JSON carries.
+    let sweep = sweep(opts);
     let mut t = Table::new(vec![
         "config",
         "fault rate",
@@ -373,15 +461,16 @@ pub fn run(opts: Opts) {
         "zero-load lat",
         "ruche detour",
     ]);
-    for topo in parse_summary(&json) {
-        for p in topo.1 {
+    for curve in &sweep.curves {
+        for p in &curve.points {
+            let m = &p.summary;
             t.row(vec![
-                topo.0.clone(),
-                fmt_f(p.0, 2),
-                fmt_f(p.3, 3),
-                fmt_f(p.1, 3),
-                fmt_f(p.2, 1),
-                fmt_f(p.4, 2),
+                curve.label.clone(),
+                fmt_f(p.rate, 2),
+                fmt_f(m.connected_pairs, 3),
+                fmt_f(m.saturation, 3),
+                fmt_f(m.zero_load, 1),
+                fmt_f(m.detour_ruche_fraction, 2),
             ]);
         }
     }
@@ -389,65 +478,7 @@ pub fn run(opts: Opts) {
     println!("reading: saturation decays gracefully with fault rate; Ruche topologies");
     println!("hold more headroom (channel diversity absorbs detours) and their");
     println!("detour-attribution column shows the Ruche channels carrying them.");
-    write_artifact(opts.quick, "BENCH_degradation.json", &json);
-}
-
-/// Minimal extraction of the per-point summary rows back out of the
-/// rendered JSON (label, then per point: rate, sat, zero-load, connected,
-/// ruche detour fraction averaged over samples).
-#[allow(clippy::type_complexity)]
-fn parse_summary(json: &str) -> Vec<(String, Vec<(f64, f64, f64, f64, f64)>)> {
-    let mut topos = Vec::new();
-    let mut cur: Option<(String, Vec<(f64, f64, f64, f64, f64)>)> = None;
-    let mut point: Option<(f64, f64, f64, f64)> = None;
-    let mut fracs: Vec<f64> = Vec::new();
-    let grab = |line: &str| -> f64 {
-        line.split(':')
-            .nth(1)
-            .and_then(|v| v.trim().trim_end_matches(',').parse().ok())
-            .unwrap_or(0.0)
-    };
-    for line in json.lines() {
-        let l = line.trim();
-        if let Some(label) = l.strip_prefix("\"label\": \"") {
-            if let Some(t) = cur.take() {
-                topos.push(t);
-            }
-            cur = Some((label.trim_end_matches("\",").to_string(), Vec::new()));
-        } else if l.starts_with("\"fault_rate\":") {
-            point = Some((grab(l), 0.0, 0.0, 0.0));
-            fracs.clear();
-        } else if l.starts_with("\"mean_saturation_throughput\":") {
-            if let Some(p) = point.as_mut() {
-                p.1 = grab(l);
-            }
-        } else if l.starts_with("\"mean_zero_load_latency\":") {
-            if let Some(p) = point.as_mut() {
-                p.2 = grab(l);
-            }
-        } else if l.starts_with("\"mean_connected_pairs\":") {
-            if let Some(p) = point.as_mut() {
-                p.3 = grab(l);
-            }
-        } else if l.starts_with("\"detour_ruche_fraction\":") {
-            fracs.push(grab(l));
-        } else if l == "]" || l == "]," {
-            // end of a samples array: fold the finished point into the
-            // current topology (harmlessly refolds on other closers).
-            if let (Some(p), Some(t)) = (point.take(), cur.as_mut()) {
-                let frac = if fracs.is_empty() {
-                    0.0
-                } else {
-                    fracs.iter().sum::<f64>() / fracs.len() as f64
-                };
-                t.1.push((p.0, p.1, p.2, p.3, frac));
-            }
-        }
-    }
-    if let Some(t) = cur.take() {
-        topos.push(t);
-    }
-    topos
+    write_artifact(opts.quick, "BENCH_degradation.json", &to_json(&sweep));
 }
 
 #[cfg(test)]
@@ -480,38 +511,35 @@ mod tests {
     }
 
     #[test]
-    fn summary_parser_reads_back_the_render() {
-        // A tiny hand-rolled blob in the render's exact shape.
-        let json = "\
-{
-  \"topologies\": [
-    {
-      \"label\": \"mesh\",
-      \"points\": [
-        {
-          \"fault_rate\": 0.05,
-          \"mean_saturation_throughput\": 0.250000,
-          \"mean_zero_load_latency\": 8.500000,
-          \"mean_connected_pairs\": 0.990000,
-          \"samples\": [
-            {
-              \"detour_ruche_fraction\": 0.400000
+    fn summary_averages_verified_samples_only() {
+        let sample = |verified: bool, sat: f64, frac: f64| Sample {
+            seed: 1,
+            dead_links: 0,
+            dead_routers: 0,
+            connected_pairs: if verified { 0.5 } else { 0.0 },
+            verified,
+            saturation: sat,
+            zero_load: 4.0 * sat,
+            displaced_flits: 0,
+            detour_ruche_fraction: frac,
+        };
+        let group = [
+            sample(true, 0.25, 0.5),
+            sample(false, 0.0, 0.0),
+            sample(true, 0.75, 1.0),
+        ];
+        assert_eq!(
+            Summary::of(&group),
+            Summary {
+                saturation: 0.5,
+                zero_load: 2.0,
+                connected_pairs: 0.5,
+                detour_ruche_fraction: 0.75,
             }
-          ]
-        }
-      ]
-    }
-  ]
-}
-";
-        let topos = parse_summary(json);
-        assert_eq!(topos.len(), 1);
-        assert_eq!(topos[0].0, "mesh");
-        let (rate, sat, zl, conn, frac) = topos[0].1[0];
-        assert_eq!(rate, 0.05);
-        assert_eq!(sat, 0.25);
-        assert_eq!(zl, 8.5);
-        assert_eq!(conn, 0.99);
-        assert_eq!(frac, 0.4);
+        );
+        // No verified sample: every mean reads zero.
+        let none = Summary::of(&group[1..2]);
+        assert_eq!(none.saturation + none.zero_load + none.connected_pairs, 0.0);
+        assert_eq!(none.detour_ruche_fraction, 0.0);
     }
 }

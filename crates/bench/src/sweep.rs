@@ -64,9 +64,7 @@ impl SweepJob {
     /// The store key: [`MODEL_VERSION`] plus the canonical
     /// [`SweepRequest`] rendering (which carries its own explicit
     /// `key_version`). Byte-stable across processes and constructible by
-    /// any client that can write JSON — unlike the `Debug`-based
-    /// `SweepJob::key` it replaced (deprecated in 0.7.0, removed the
-    /// release after, per the one-release deprecation policy).
+    /// any client that can write JSON.
     pub fn cache_key(&self) -> String {
         format!("{MODEL_VERSION}|{}", self.request().cache_key())
     }

@@ -163,6 +163,20 @@ fn concurrent_writers_never_lose_an_entry() {
 }
 
 #[test]
+fn cache_key_is_the_versioned_canonical_request_rendering() {
+    // The wire key every store entry is filed under: old stores stay
+    // readable only while this rendering is unchanged.
+    let tb = Testbench::builder(Pattern::Tornado, 0.2).build().unwrap();
+    let job = SweepJob::new(NetworkConfig::mesh(Dims::new(4, 4)), tb.clone());
+    let expect = format!(
+        "{MODEL_VERSION}|{}",
+        SweepRequest::new(job.cfg.clone(), tb).cache_key()
+    );
+    assert_eq!(job.cache_key(), expect);
+    assert!(job.cache_key().starts_with("v1|{\"key_version\":1,"));
+}
+
+#[test]
 fn the_committed_store_holds_only_reachable_keys() {
     // Every committed entry must be reachable from the canonical key
     // space (`SweepJob::cache_key`); anything else is dead weight that

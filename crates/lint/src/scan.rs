@@ -8,7 +8,7 @@
 //!   and char literals blanked out (so a pattern inside a string can never
 //!   trigger a rule, and a `//` inside a string never eats the line);
 //! * `comment`: the comment text of the line (doc comments included),
-//!   where `SAFETY:` obligations and `lint:allow(...)` markers live;
+//!   where `lint:allow(...)` markers live;
 //! * `in_test`: whether the line sits inside a `#[cfg(test)]` item, which
 //!   most rules skip (test code may freely use wall clocks and `unwrap`).
 //!
@@ -21,8 +21,6 @@
 /// One scanned source line.
 #[derive(Debug, Clone)]
 pub struct Line {
-    /// The raw line as read from disk (no trailing newline).
-    pub raw: String,
     /// Code with comments stripped and literal contents blanked.
     pub code: String,
     /// Concatenated comment text of this line (line, block, and doc).
@@ -51,7 +49,6 @@ pub fn scan(contents: &str) -> Vec<Line> {
         let (code, comment, next) = scan_line(raw, mode);
         mode = next;
         lines.push(Line {
-            raw: raw.to_string(),
             code,
             comment,
             in_test: false,

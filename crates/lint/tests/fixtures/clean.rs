@@ -3,19 +3,11 @@
 // lint:allow(hash-order): counts are summed, never iterated into output.
 use std::collections::HashMap;
 
-/// Documented public item.
-pub fn documented(m: &HashMap<u32, u32>) -> u32 {
+fn total(m: &HashMap<u32, u32>) -> u32 {
     // The pattern ".unwrap()" inside a string or comment is not code.
     let s = "calling .unwrap() and Instant::now() in a string";
     let _ = s;
     m.values().sum()
-}
-
-/// Wrapper with a justified unsafe site.
-pub fn read_first(xs: &[u8]) -> u8 {
-    // SAFETY: caller guarantees `xs` is non-empty (checked by the only
-    // call site in this fixture).
-    unsafe { *xs.as_ptr() }
 }
 
 // lint:allow(no-unwrap): fixture demonstrates a justified unwrap site.

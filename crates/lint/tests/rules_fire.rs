@@ -2,10 +2,8 @@
 //! `tests/fixtures/` contains a deliberate violation and the rule must
 //! fire on it: a checker that cannot fail proves nothing. The final test
 //! pins the real workspace at zero findings, which is what makes the
-//! rules enforceable in CI at all.
+//! rules part of every `cargo test`.
 
-use ruche_lint::rules::deprecated_shims;
-use ruche_lint::scan::scan;
 use ruche_lint::{lint_source, lint_workspace, workspace_root, Finding};
 
 /// Findings of `rule` when `contents` is linted as if at `rel`.
@@ -46,56 +44,10 @@ fn hash_order_fires_on_unjustified_imports() {
 }
 
 #[test]
-fn safety_comment_fires_on_bare_unsafe_impl_and_block() {
-    let src = include_str!("fixtures/safety.rs");
-    let hits = fire("crates/noc/src/fixture.rs", src, "safety-comment");
-    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
-    assert!(lines.contains(&5), "unsafe impl flagged: {lines:?}");
-    assert!(lines.contains(&8), "unsafe block flagged: {lines:?}");
-}
-
-#[test]
-fn pub_doc_fires_on_bare_items_and_spares_documented_ones() {
-    let src = include_str!("fixtures/pub_doc.rs");
-    let hits = fire("crates/noc/src/fixture.rs", src, "pub-doc");
-    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![2, 8], "Bare and AlsoBare only: {hits:?}");
-    // Out of the core crates the rule does not apply.
-    assert!(fire("crates/stats/src/fixture.rs", src, "pub-doc").is_empty());
-}
-
-#[test]
-fn deprecated_shims_fires_without_a_pinning_test() {
-    let lines = scan(include_str!("fixtures/deprecated.rs"));
-    let rel = "crates/noc/src/fixture.rs";
-
-    // No shims test at all: both items flagged.
-    let mut out = Vec::new();
-    deprecated_shims(rel, &lines, None, &mut out);
-    assert_eq!(out.len(), 2, "{out:?}");
-
-    // A shims test covering only one item: the other stays flagged.
-    let mut out = Vec::new();
-    deprecated_shims(rel, &lines, Some("fn t() { old_way(); }"), &mut out);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert!(out[0].message.contains("OldThing"));
-
-    // Both names exercised (multi-line attribute form included): clean.
-    let mut out = Vec::new();
-    deprecated_shims(
-        rel,
-        &lines,
-        Some("fn t() { old_way(); let _ = OldThing; }"),
-        &mut out,
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
 fn every_escape_hatch_silences_its_rule() {
     // The clean fixture uses all of them: a justified lint:allow for
-    // hash-order and no-unwrap, a SAFETY comment, doc comments, strings
-    // containing rule patterns, and a cfg(test) module using Instant.
+    // hash-order and no-unwrap, strings and comments containing rule
+    // patterns, and a cfg(test) module using Instant.
     let src = include_str!("fixtures/clean.rs");
     let hits = lint_source("crates/noc/src/clean.rs", src);
     assert!(hits.is_empty(), "expected clean, got: {hits:?}");
@@ -111,8 +63,7 @@ fn bare_allow_markers_do_not_count() {
 #[test]
 fn the_workspace_is_clean() {
     // THE enforcement test: zero findings across the real workspace. A
-    // rule violation anywhere in crates/*/src fails the suite, not just
-    // the ruche-lint CI job.
+    // rule violation anywhere in crates/*/src fails `cargo test`.
     let report = lint_workspace(&workspace_root()).expect("workspace scan");
     assert!(report.files_scanned > 50, "scan saw the whole workspace");
     assert!(

@@ -15,6 +15,8 @@
 // Counting host allocations is meaningless (and unsupported for a
 // `#[global_allocator]`) under Miri's interpreted heap.
 #![cfg(not(miri))]
+// A `#[global_allocator]` must implement the `unsafe` trait `GlobalAlloc`.
+#![allow(unsafe_code)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -6,7 +6,7 @@
 //! text table / CSV rendering.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod accum;

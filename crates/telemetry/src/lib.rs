@@ -14,7 +14,7 @@
 //! dependent formatting — two identical runs produce byte-identical blobs.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod histogram;

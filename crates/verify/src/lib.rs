@@ -43,7 +43,7 @@
 //! construction automatically.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod cdg;
@@ -56,7 +56,7 @@ pub use faulted::{verify_faulted, verify_faulted_cached};
 pub use report::{CdgStats, Channel, Finding, Lint, Report, RouteId, Severity, Witness};
 
 use ruche_noc::prelude::*;
-// lint:allow(hash-order): verdict cache keyed by config label, lookup-only.
+// lint:allow(hash-order): verdict cache keyed by the config's `Debug` rendering, lookup-only.
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
