@@ -91,8 +91,8 @@ fn parse_entry(line: &str) -> Option<(&str, &str)> {
 
 impl ResultStore {
     /// Opens the store rooted at `dir`, loading whatever shard files
-    /// exist. Nothing is created on disk until the first [`flush`]
-    /// (ResultStore::flush), so opening a store is free of side effects.
+    /// exist. Nothing is created on disk until the first
+    /// [`flush`](Self::flush), so opening a store is free of side effects.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
         let mut shards = Vec::with_capacity(SHARDS);

@@ -12,9 +12,9 @@
 //! of 9 inputs (at the P output); depopulation removes 16 connections,
 //! shrinking the P output to 7 inputs and the RN/RS outputs by 5 each.
 
-use crate::geometry::{Coord, Dims, Dir};
-use crate::routing::{compute_route, edge_entry, Dest, EdgePort};
-use crate::topology::{DorOrder, NetworkConfig, TopologyKind};
+use crate::geometry::{Dims, Dir};
+use crate::routing::{compute_route, trace, Cases, Visit};
+use crate::topology::{NetworkConfig, TopologyKind};
 
 /// A router crossbar connectivity matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,14 +65,12 @@ impl Connectivity {
         result
     }
 
-    /// Uncached enumeration over a probe network. Routes to one
-    /// destination merge, so each walk stops at the first `(router, input
-    /// port, input VC)` state an earlier walk to the same destination
-    /// already took: the rest of the route's transitions are recorded.
+    /// Uncached derivation over a probe network: every `(input →
+    /// output)` transition a state of the routes' [`Cases::walk`] takes.
     ///
     /// # Panics
     ///
-    /// Panics if a route loops or leaves the array.
+    /// Panics if a route fails (see [`trace`]).
     fn derive(probe: &NetworkConfig) -> Self {
         let ports = probe.ports();
         let index = port_table(&ports);
@@ -82,64 +80,25 @@ impl Connectivity {
             usize::from(i)
         };
         let mut allowed = vec![vec![false; ports.len()]; ports.len()];
-        // `seen[state]`: the last walk through the state, numbering walks
-        // from 1 across all destinations.
-        let mut seen: Vec<u32> = Vec::new();
-        let mut walks = 0u32;
-        let mut walk_to = |dest: Dest, sources: &mut dyn Iterator<Item = (Coord, Dir)>| {
-            let first = walks + 1;
-            for (src, entry) in sources {
-                walks += 1;
-                let (mut here, mut in_dir, mut vc) = (src, entry, 0u8);
-                loop {
-                    let node = probe.dims.index(here);
-                    let state = (usize::from(vc) * probe.dims.count() + node) * Dir::ALL.len()
-                        + in_dir as usize;
-                    if state >= seen.len() {
-                        seen.resize(state + 1, 0);
-                    }
-                    if seen[state] >= first {
-                        assert!(seen[state] != walks, "route from {src} to {dest} loops");
-                        break;
-                    }
-                    seen[state] = walks;
-                    let dec = compute_route(probe, here, in_dir, vc, dest);
-                    allowed[idx(dec.out)][idx(in_dir)] = true;
-                    if here == dest.coord && dec.out == dest.exit_dir() {
-                        break;
-                    }
-                    let next = probe.neighbor(here, dec.out).unwrap_or_else(|| {
-                        panic!("route from {src} to {dest} leaves the array at {here}")
-                    });
-                    (here, in_dir, vc) = (next, dec.out.opposite(), dec.out_vc);
+        let decide =
+            |here, in_dir, in_vc, dest| Ok(compute_route(probe, here, in_dir, in_vc, dest));
+        Cases::new(probe).walk(
+            decide,
+            #[inline(always)]
+            |visit| match visit {
+                Visit::State { step, .. } => allowed[idx(step.out)][idx(step.in_dir)] = true,
+                Visit::Route {
+                    route,
+                    length: None,
+                    ..
+                } => {
+                    let (err, _) =
+                        trace(probe, route, decide).expect_err("the walk found it fails");
+                    panic!("route {route}: {err}");
                 }
-            }
-        };
-
-        // Edge endpoints carry one traffic direction per network: the
-        // request network (X-Y) routes *to* the edges, the response
-        // network (Y-X) routes *from* them (§4). The crossbar only
-        // implements the transitions its network's direction uses.
-        let both = probe.edge_bidirectional;
-        let to_edge = probe.edge_memory_ports && (both || probe.dor == DorOrder::XY);
-        let from_edge = probe.edge_memory_ports && (both || probe.dor == DorOrder::YX);
-        let dims = probe.dims;
-        let edges =
-            || (0..dims.cols).flat_map(|col| [(col, EdgePort::North), (col, EdgePort::South)]);
-        for d in dims.iter() {
-            let tiles = dims.iter().map(|s| (s, Dir::P));
-            let entries = edges()
-                .filter(|_| from_edge)
-                .map(|(col, edge)| edge_entry(dims, edge, col));
-            walk_to(Dest::tile(d), &mut tiles.chain(entries));
-        }
-        for (col, edge) in edges().filter(|_| to_edge) {
-            let dest = match edge {
-                EdgePort::North => Dest::north_edge(col),
-                EdgePort::South => Dest::south_edge(col, dims.rows),
-            };
-            walk_to(dest, &mut dims.iter().map(|s| (s, Dir::P)));
-        }
+                Visit::Route { .. } => {}
+            },
+        );
         Connectivity {
             ports,
             index,
@@ -214,7 +173,7 @@ fn port_table(ports: &[Dir]) -> [u8; Dir::ALL.len()] {
 /// local hops in one dimension, so enumeration would miss the base mesh's
 /// straight-through connections. The probe therefore routes with
 /// `RF = max(rf, 3)` (Ruche-One keeps its own parity-routing relation).
-fn probe_config(cfg: &NetworkConfig) -> NetworkConfig {
+pub(crate) fn probe_config(cfg: &NetworkConfig) -> NetworkConfig {
     let mut probe = cfg.clone();
     if let TopologyKind::Ruche { rf, axes } = probe.topology {
         if rf >= 2 {

@@ -587,51 +587,29 @@ fn dest_of_index(cfg: &NetworkConfig, di: usize) -> Dest {
     }
 }
 
-/// Walks a table route from `src` (entered through `entry_dir`) to `dest`,
-/// returning every (router, output) traversal including the ejection —
-/// the faulted analogue of [`try_walk_route_from`]
-/// (crate::routing::try_walk_route_from), used by the `ruche-verify`
-/// faulted checker and the property tests.
-///
-/// # Errors
-///
-/// Returns [`RouteError::Unreachable`] for partitioned pairs,
-/// [`RouteError::LeftArray`] / [`RouteError::HopLimit`] only on a table
-/// bug (the construction makes them impossible).
-pub fn try_walk_table_route(
-    table: &RouteTable,
-    src: Coord,
-    entry_dir: Dir,
-    dest: Dest,
-) -> Result<Vec<(Coord, Dir)>, RouteError> {
-    let cfg = table.cfg();
-    let mut here = src;
-    let mut in_dir = entry_dir;
-    let mut path = Vec::new();
-    let limit = cfg.max_route_hops();
-    loop {
-        let dec = table.route(here, in_dir, dest)?;
-        path.push((here, dec.out));
-        if here == dest.coord && dec.out == dest.exit_dir() {
-            break;
-        }
-        here = cfg.neighbor(here, dec.out).ok_or(RouteError::LeftArray {
-            at: here,
-            out: dec.out,
-        })?;
-        in_dir = dec.out.opposite();
-        if path.len() > limit {
-            return Err(RouteError::HopLimit { limit });
-        }
-    }
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::Dims;
+    use crate::routing::{trace, RouteId};
     use crate::topology::CrossbarScheme;
+
+    /// The `(router, output)` path of a table route from `src`, entered
+    /// through `entry`.
+    fn table_path(
+        table: &RouteTable,
+        src: Coord,
+        entry: Dir,
+        dest: Dest,
+    ) -> Result<Vec<(Coord, Dir)>, RouteError> {
+        let route = RouteId { src, entry, dest };
+        match trace(table.cfg(), route, |here, in_dir, _, dest| {
+            table.route(here, in_dir, dest)
+        }) {
+            Ok(steps) => Ok(steps.iter().map(|s| (s.here, s.out)).collect()),
+            Err((e, _)) => Err(e),
+        }
+    }
 
     #[test]
     fn default_is_empty_and_valid_everywhere() {
@@ -728,8 +706,8 @@ mod tests {
         assert_eq!(table.connected_pair_fraction(), 1.0);
         for s in cfg.dims.iter() {
             for d in cfg.dims.iter() {
-                let path = try_walk_table_route(&table, s, Dir::P, Dest::tile(d))
-                    .expect("unfaulted pair routes");
+                let path =
+                    table_path(&table, s, Dir::P, Dest::tile(d)).expect("unfaulted pair routes");
                 // Hop-minimal on an unfaulted mesh: manhattan + ejection.
                 assert_eq!(path.len() as u32, s.manhattan(d) + 1, "{s}->{d}");
             }
@@ -751,7 +729,7 @@ mod tests {
         // On a 4x2 grid the same cut detours through the second row.
         let cfg = NetworkConfig::mesh(Dims::new(4, 2));
         let table = RouteTable::build(&cfg, &f).expect("fault model is valid for cfg");
-        let path = try_walk_table_route(
+        let path = table_path(
             &table,
             Coord::new(0, 0),
             Dir::P,
@@ -772,7 +750,7 @@ mod tests {
             f = f.kill_link(Coord::new(x, 0), Dir::E);
         }
         let table = RouteTable::build(&cfg, &f).expect("fault model is valid for cfg");
-        let path = try_walk_table_route(
+        let path = table_path(
             &table,
             Coord::new(0, 0),
             Dir::P,
@@ -813,13 +791,13 @@ mod tests {
         assert!(!table.reachable(Coord::new(0, 3), Dir::P, Dest::north_edge(2)));
         // ...but its neighbors still work, and entry from an edge endpoint
         // routes back into the array.
-        let path = try_walk_table_route(&table, Coord::new(1, 0), Dir::P, Dest::north_edge(1))
+        let path = table_path(&table, Coord::new(1, 0), Dir::P, Dest::north_edge(1))
             .expect("edge endpoint stays reachable");
         assert_eq!(
             path.last().expect("route is non-empty"),
             &(Coord::new(1, 0), Dir::N)
         );
-        let back = try_walk_table_route(
+        let back = table_path(
             &table,
             Coord::new(3, 0),
             Dir::N,
@@ -839,7 +817,7 @@ mod tests {
         assert!(!f.is_empty(), "seed should produce at least one fault");
         for s in cfg.dims.iter() {
             for d in cfg.dims.iter() {
-                let Ok(path) = try_walk_table_route(&table, s, Dir::P, Dest::tile(d)) else {
+                let Ok(path) = table_path(&table, s, Dir::P, Dest::tile(d)) else {
                     continue;
                 };
                 let mut down = false;

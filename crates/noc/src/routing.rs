@@ -25,9 +25,15 @@
 //! * **Ruche-One** (`RF = 1`, fully populated) — parity balancing: packets
 //!   whose total Manhattan distance is even ride the Ruche (second) plane
 //!   end-to-end, odd distances ride the local plane (§3.2).
+//!
+//! The route walks live here too: [`trace`] follows one route under any
+//! decision function, and [`Cases`] numbers every route a configuration
+//! carries and walks them all, memoized per destination. The crossbar
+//! derivation, the `ruche-verify` lint battery and its faulted check all
+//! run on that one walk.
 
 use crate::geometry::{Axis, Coord, Dims, Dir};
-use crate::topology::{fold_logical, CrossbarScheme, NetworkConfig, TopologyKind};
+use crate::topology::{fold_logical, CrossbarScheme, DorOrder, NetworkConfig, TopologyKind};
 use std::fmt;
 
 /// Which edge of the array an edge-attached memory endpoint sits on.
@@ -379,7 +385,7 @@ fn ruche_one_route(cfg: &NetworkConfig, here: Coord, in_dir: Dir, dest: Dest) ->
 /// One step of a routed path: the router traversed and the output taken.
 pub type PathStep = (Coord, Dir);
 
-/// Why a route walk failed (see [`try_walk_route_from`]).
+/// Why a route walk failed (see [`trace`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteError {
     /// The routing function emitted an output with no link behind it.
@@ -420,6 +426,107 @@ impl fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
+/// Identifies one route: where the packet enters the network, through
+/// which port, and where it is heading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RouteId {
+    /// First router the packet traverses.
+    pub src: Coord,
+    /// Input port at `src` (`P` for tile injection, `N`/`S` for packets
+    /// arriving from an edge memory endpoint).
+    pub entry: Dir,
+    /// Packet destination.
+    pub dest: Dest,
+}
+
+impl fmt::Display for RouteId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.entry {
+            Dir::P => write!(f, "{} -> {}", self.src, self.dest),
+            Dir::N => write!(f, "N-edge[{}] -> {}", self.src.x, self.dest),
+            Dir::S => write!(f, "S-edge[{}] -> {}", self.src.x, self.dest),
+            other => write!(f, "{}(in {}) -> {}", self.src, other, self.dest),
+        }
+    }
+}
+
+/// One hop of a walked route: the routing state and the decision taken
+/// there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceStep {
+    /// Router traversed.
+    pub here: Coord,
+    /// Input port the packet arrived through.
+    pub in_dir: Dir,
+    /// Virtual channel it arrived on.
+    pub in_vc: u8,
+    /// Output port taken.
+    pub out: Dir,
+    /// Virtual channel requested on the output.
+    pub out_vc: u8,
+}
+
+/// Walks `route` hop by hop, recording every hop including the ejection.
+///
+/// `decide(here, in_dir, in_vc, dest)` makes each hop's decision:
+/// [`compute_route`], an injected routing function, or a fault
+/// [`RouteTable`](crate::fault::RouteTable)'s lookup.
+///
+/// # Errors
+///
+/// The failure, with the hops walked before it: the decision's own error,
+/// [`RouteError::LeftArray`] if an output has no link behind it, or
+/// [`RouteError::HopLimit`] if the walk exceeds
+/// [`NetworkConfig::max_route_hops`] without ejecting.
+pub fn trace<D>(
+    cfg: &NetworkConfig,
+    route: RouteId,
+    mut decide: D,
+) -> Result<Vec<TraceStep>, (RouteError, Vec<TraceStep>)>
+where
+    D: FnMut(Coord, Dir, u8, Dest) -> Result<RouteDecision, RouteError>,
+{
+    let (mut here, mut in_dir, mut in_vc) = (route.src, route.entry, 0u8);
+    let mut steps = Vec::new();
+    let limit = cfg.max_route_hops();
+    loop {
+        let dec = match decide(here, in_dir, in_vc, route.dest) {
+            Ok(dec) => dec,
+            Err(e) => return Err((e, steps)),
+        };
+        steps.push(TraceStep {
+            here,
+            in_dir,
+            in_vc,
+            out: dec.out,
+            out_vc: dec.out_vc,
+        });
+        if here == route.dest.coord && dec.out == route.dest.exit_dir() {
+            return Ok(steps);
+        }
+        let Some(next) = cfg.neighbor(here, dec.out) else {
+            let err = RouteError::LeftArray {
+                at: here,
+                out: dec.out,
+            };
+            return Err((err, steps));
+        };
+        (here, in_dir, in_vc) = (next, dec.out.opposite(), dec.out_vc);
+        if steps.len() > limit {
+            return Err((RouteError::HopLimit { limit }, steps));
+        }
+    }
+}
+
+/// The `(router, output)` path of `route` under [`compute_route`].
+fn dor_path(cfg: &NetworkConfig, route: RouteId) -> Result<Vec<PathStep>, RouteError> {
+    let decide = |here, in_dir, in_vc, dest| Ok(compute_route(cfg, here, in_dir, in_vc, dest));
+    match trace(cfg, route, decide) {
+        Ok(steps) => Ok(steps.iter().map(|s| (s.here, s.out)).collect()),
+        Err((e, _)) => Err(e),
+    }
+}
+
 /// Walks the full route of a packet from `src` to `dest`, returning every
 /// (router, output port) traversal including the final ejection.
 ///
@@ -428,7 +535,7 @@ impl std::error::Error for RouteError {}
 /// Panics if the route does not terminate within
 /// [`NetworkConfig::max_route_hops`] hops — which would be a routing bug
 /// (the test suite property-checks this). Use [`try_walk_route`] for the
-/// non-panicking variant the static verifier builds on.
+/// non-panicking variant.
 pub fn walk_route(cfg: &NetworkConfig, src: Coord, dest: Dest) -> Vec<PathStep> {
     walk_route_from(cfg, src, Dir::P, dest)
 }
@@ -446,61 +553,35 @@ pub fn walk_route_from(
     entry_dir: Dir,
     dest: Dest,
 ) -> Vec<PathStep> {
-    match try_walk_route_from(cfg, src, entry_dir, dest) {
-        Ok(path) => path,
-        Err(e) => panic!("route from {src} to {dest}: {e}"),
-    }
+    let route = RouteId {
+        src,
+        entry: entry_dir,
+        dest,
+    };
+    dor_path(cfg, route).unwrap_or_else(|e| panic!("route from {src} to {dest}: {e}"))
 }
 
 /// Non-panicking [`walk_route`]: returns the path, or the reason the route
-/// is broken. This is the walker the `ruche-verify` static checker drives.
-pub fn try_walk_route(
-    cfg: &NetworkConfig,
-    src: Coord,
-    dest: Dest,
-) -> Result<Vec<PathStep>, RouteError> {
-    try_walk_route_from(cfg, src, Dir::P, dest)
-}
-
-/// Non-panicking [`walk_route_from`].
+/// is broken ([`trace`] keeps the hops walked before it).
 ///
 /// # Errors
 ///
 /// Returns [`RouteError::LeftArray`] if the routing function emits an
 /// output with no link behind it, or [`RouteError::HopLimit`] if the walk
 /// exceeds [`NetworkConfig::max_route_hops`] without ejecting.
-pub fn try_walk_route_from(
+pub fn try_walk_route(
     cfg: &NetworkConfig,
     src: Coord,
-    entry_dir: Dir,
     dest: Dest,
 ) -> Result<Vec<PathStep>, RouteError> {
-    let mut here = src;
-    let mut in_dir = entry_dir;
-    let mut vc = 0u8;
-    let mut path = Vec::new();
-    let limit = cfg.max_route_hops();
-    loop {
-        let dec = compute_route(cfg, here, in_dir, vc, dest);
-        path.push((here, dec.out));
-        if here == dest.coord && dec.out == dest.exit_dir() {
-            let is_edge_exit = dest.edge.is_some();
-            if dec.out == Dir::P || is_edge_exit {
-                break;
-            }
-        }
-        let next = cfg.neighbor(here, dec.out).ok_or(RouteError::LeftArray {
-            at: here,
-            out: dec.out,
-        })?;
-        in_dir = dec.out.opposite();
-        vc = dec.out_vc;
-        here = next;
-        if path.len() > limit {
-            return Err(RouteError::HopLimit { limit });
-        }
-    }
-    Ok(path)
+    dor_path(
+        cfg,
+        RouteId {
+            src,
+            entry: Dir::P,
+            dest,
+        },
+    )
 }
 
 /// Number of router traversals (network hops, including the ejection
@@ -533,6 +614,234 @@ pub fn edge_entry(dims: Dims, edge: EdgePort, col: u16) -> (Coord, Dir) {
     match edge {
         EdgePort::North => (Coord::new(col, 0), Dir::N),
         EdgePort::South => (Coord::new(col, dims.rows - 1), Dir::S),
+    }
+}
+
+/// Dense index of the routing state, or channel, `(at, port, vc)` over
+/// every [`Dir`] of every router. VC-major, unlike the simulator's
+/// `(node * ports + port) * max_vcs + vc` slots: a VC beyond the
+/// configuration's count (which an injected routing function may request)
+/// only appends to a table indexed this way, instead of re-laying it out.
+#[inline]
+pub fn dense_index(dims: Dims, at: Coord, port: Dir, vc: u8) -> usize {
+    (usize::from(vc) * dims.count() + dims.index(at)) * Dir::ALL.len() + port as usize
+}
+
+/// Every route a configuration carries, numbered and grouped by
+/// destination, and the memoized walk over them.
+///
+/// Routes are numbered tile to tile first, source-major; then, per edge
+/// column and edge (north first), the routes to that edge endpoint and
+/// then the routes from it. Edge traffic is enumerated in exactly the
+/// directions the network carries it: requests route X-Y *to* the edges,
+/// responses Y-X *from* them (§4), unless `edge_bidirectional` carries
+/// both.
+#[derive(Debug, Clone, Copy)]
+pub struct Cases<'a> {
+    cfg: &'a NetworkConfig,
+    to_edge: bool,
+    from_edge: bool,
+}
+
+/// What [`Cases::walk`] reports to its visitor, in walk order.
+#[derive(Debug, Clone, Copy)]
+pub enum Visit {
+    /// A routing state expanded toward `route.dest`, by the first route of
+    /// that destination to reach it.
+    State {
+        /// Number of the route that expanded the state.
+        number: usize,
+        /// That route.
+        route: RouteId,
+        /// The state and the decision taken there.
+        step: TraceStep,
+        /// The router behind `step.out`; `None` for an output with no link
+        /// (ejection at P, or an exit into an edge endpoint).
+        next: Option<Coord>,
+    },
+    /// The walk of a route ended.
+    Route {
+        /// Number of the route.
+        number: usize,
+        /// The route.
+        route: RouteId,
+        /// Its length in hops, ejection included; `None` exactly where
+        /// [`trace`] fails.
+        length: Option<u32>,
+    },
+}
+
+/// Memo sentinels for a routing state in [`Cases::walk`]; any other value
+/// is the number of hops from the state to ejection, its own hop included.
+const UNSEEN: u32 = u32::MAX;
+/// On the walk in progress: reaching it again closes a routing loop.
+const ON_WALK: u32 = u32::MAX - 1;
+/// Never ejects: it loops, leaves the array or meets a decision error, and
+/// so does every route that reaches it.
+const FAILS: u32 = u32::MAX - 2;
+
+impl<'a> Cases<'a> {
+    /// The routes `cfg` carries.
+    pub fn new(cfg: &'a NetworkConfig) -> Self {
+        let both = cfg.edge_bidirectional;
+        Cases {
+            cfg,
+            to_edge: cfg.edge_memory_ports && (both || cfg.dor == DorOrder::XY),
+            from_edge: cfg.edge_memory_ports && (both || cfg.dor == DorOrder::YX),
+        }
+    }
+
+    fn tiles(&self) -> usize {
+        self.cfg.dims.count()
+    }
+
+    /// Routes to and from one edge endpoint.
+    fn per_edge(&self) -> usize {
+        self.tiles() * (usize::from(self.to_edge) + usize::from(self.from_edge))
+    }
+
+    /// Number of routes.
+    pub fn count(&self) -> usize {
+        self.tiles() * self.tiles() + 2 * usize::from(self.cfg.dims.cols) * self.per_edge()
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (u16, EdgePort)> {
+        (0..self.cfg.dims.cols).flat_map(|col| [(col, EdgePort::North), (col, EdgePort::South)])
+    }
+
+    /// Number of the first route to or from edge endpoint `(col, edge)`.
+    fn edge_base(&self, col: u16, edge: EdgePort) -> usize {
+        let k = 2 * usize::from(col) + usize::from(edge == EdgePort::South);
+        self.tiles() * self.tiles() + k * self.per_edge()
+    }
+
+    /// Every destination: the tiles in row-major order, then the edge
+    /// endpoints routes are enumerated to.
+    pub fn destinations(&self) -> Vec<Dest> {
+        let dims = self.cfg.dims;
+        let mut dests: Vec<Dest> = dims.iter().map(Dest::tile).collect();
+        if self.to_edge {
+            dests.extend(self.edges().map(|(col, edge)| match edge {
+                EdgePort::North => Dest::north_edge(col),
+                EdgePort::South => Dest::south_edge(col, dims.rows),
+            }));
+        }
+        dests
+    }
+
+    /// Fills `out` with every route to `dest` and its number, in
+    /// increasing number order.
+    pub fn routes_to(&self, dest: Dest, out: &mut Vec<(usize, RouteId)>) {
+        let dims = self.cfg.dims;
+        out.clear();
+        let tile_routes = |first: usize, step: usize, out: &mut Vec<(usize, RouteId)>| {
+            for (s, src) in dims.iter().enumerate() {
+                let route = RouteId {
+                    src,
+                    entry: Dir::P,
+                    dest,
+                };
+                out.push((first + s * step, route));
+            }
+        };
+        match dest.edge {
+            None => {
+                let d = dims.index(dest.coord);
+                tile_routes(d, self.tiles(), out);
+                if self.from_edge {
+                    let skip = if self.to_edge { self.tiles() } else { 0 };
+                    for (col, edge) in self.edges() {
+                        let (src, entry) = edge_entry(dims, edge, col);
+                        let route = RouteId { src, entry, dest };
+                        out.push((self.edge_base(col, edge) + skip + d, route));
+                    }
+                }
+            }
+            Some(edge) => tile_routes(self.edge_base(dest.coord.x, edge), 1, out),
+        }
+    }
+
+    /// Walks every route, destination by destination, making each hop's
+    /// decision with `decide` as [`trace`] does, and tells `visit` every
+    /// routing state it expands and every route's length.
+    ///
+    /// Routes to one destination merge: a walk stops at the first
+    /// `(router, input port, input VC)` state an earlier route to the same
+    /// destination resolved, and its length is the hops walked so far plus
+    /// the hops stored there. So each state is expanded, decided and
+    /// visited once per destination. `decide` must be a pure function of
+    /// the state and the destination. `visit` runs once per state, so a
+    /// visitor that does much there is best marked `#[inline(always)]`.
+    pub fn walk<D, V>(&self, mut decide: D, mut visit: V)
+    where
+        D: FnMut(Coord, Dir, u8, Dest) -> Result<RouteDecision, RouteError>,
+        V: FnMut(Visit),
+    {
+        let cfg = self.cfg;
+        // A route that ejects but runs past the hop bound fails, as in
+        // `trace`.
+        let longest = cfg.max_route_hops() as u32 + 1;
+        // Status of each routing state toward the current destination,
+        // over `dense_index`; reset between destinations through
+        // `walked`, the states expanded so far.
+        let mut memo: Vec<u32> = Vec::new();
+        let mut walked: Vec<usize> = Vec::new();
+        let mut group = Vec::new();
+        for dest in self.destinations() {
+            self.routes_to(dest, &mut group);
+            for &(number, route) in &group {
+                let start = walked.len();
+                let (mut here, mut in_dir, mut in_vc) = (route.src, route.entry, 0u8);
+                let length = loop {
+                    let state = dense_index(cfg.dims, here, in_dir, in_vc);
+                    if state >= memo.len() {
+                        memo.resize(state + 1, UNSEEN);
+                    }
+                    let walked_here = (walked.len() - start) as u32;
+                    match memo[state] {
+                        UNSEEN => {}
+                        ON_WALK | FAILS => break None,
+                        rest => break Some(walked_here + rest),
+                    }
+                    memo[state] = ON_WALK;
+                    walked.push(state);
+                    let Ok(dec) = decide(here, in_dir, in_vc, dest) else {
+                        break None;
+                    };
+                    let step = TraceStep {
+                        here,
+                        in_dir,
+                        in_vc,
+                        out: dec.out,
+                        out_vc: dec.out_vc,
+                    };
+                    let next = cfg.neighbor(here, dec.out);
+                    visit(Visit::State {
+                        number,
+                        route,
+                        step,
+                        next,
+                    });
+                    if here == dest.coord && dec.out == dest.exit_dir() {
+                        break Some(walked_here + 1);
+                    }
+                    let Some(next) = next else { break None };
+                    (here, in_dir, in_vc) = (next, dec.out.opposite(), dec.out_vc);
+                };
+                for (k, &state) in walked[start..].iter().enumerate() {
+                    memo[state] = length.map_or(FAILS, |h| h - k as u32);
+                }
+                visit(Visit::Route {
+                    number,
+                    route,
+                    length: length.filter(|&h| h <= longest),
+                });
+            }
+            for &state in &walked {
+                memo[state] = UNSEEN;
+            }
+            walked.clear();
+        }
     }
 }
 
@@ -874,5 +1183,93 @@ mod tests {
         let r3 = mean_route_hops(&NetworkConfig::full_ruche(dims, 3, FullyPopulated));
         assert!(r2 < mesh, "ruche2 {r2} < mesh {mesh}");
         assert!(r3 < r2, "ruche3 {r3} < ruche2 {r2}");
+    }
+
+    /// Small arrays in every edge-traffic direction, plus the probe
+    /// networks the crossbar derivation walks (RF >= 3, 16x16 or larger).
+    fn enumeration_configs() -> Vec<NetworkConfig> {
+        let small = NetworkConfig::mesh(Dims::new(4, 3));
+        let mut both = small.clone().with_edge_memory_ports();
+        both.edge_bidirectional = true;
+        let mut cfgs = vec![
+            small.clone(),
+            small.clone().with_edge_memory_ports(),
+            small.with_edge_memory_ports().with_dor(DorOrder::YX),
+            both,
+        ];
+        let dims = Dims::new(8, 8);
+        for cfg in [
+            NetworkConfig::full_ruche(dims, 2, FullyPopulated),
+            NetworkConfig::half_ruche(dims, 3, Depopulated).with_edge_memory_ports(),
+            NetworkConfig::half_ruche(dims, 3, Depopulated)
+                .with_edge_memory_ports()
+                .with_dor(DorOrder::YX),
+        ] {
+            let probe = crate::crossbar::probe_config(&cfg);
+            assert!(probe.dims.cols >= 16 && probe.dims.rows >= 16);
+            assert!(probe.topology.ruche_factor() >= 3);
+            cfgs.push(probe);
+        }
+        cfgs
+    }
+
+    #[test]
+    fn destination_groups_number_every_route_once() {
+        for cfg in enumeration_configs() {
+            let cases = Cases::new(&cfg);
+            let mut seen = vec![false; cases.count()];
+            let mut group = Vec::new();
+            for dest in cases.destinations() {
+                cases.routes_to(dest, &mut group);
+                assert!(group.windows(2).all(|w| w[0].0 < w[1].0));
+                for &(number, route) in &group {
+                    assert_eq!(route.dest, dest);
+                    assert!(!std::mem::replace(&mut seen[number], true));
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "{}", cfg.label());
+        }
+    }
+
+    /// The memoized walk ends every route exactly once, with the length
+    /// a plain `trace` of that route finds, and expands each state at most
+    /// once per destination.
+    #[test]
+    fn walk_lengths_match_trace() {
+        for cfg in enumeration_configs().into_iter().take(4).chain([
+            NetworkConfig::torus(Dims::new(5, 4)),
+            NetworkConfig::full_ruche(Dims::new(7, 5), 3, Depopulated),
+        ]) {
+            let decide =
+                |here, in_dir, in_vc, dest| Ok(compute_route(&cfg, here, in_dir, in_vc, dest));
+            let cases = Cases::new(&cfg);
+            let mut lengths = vec![None; cases.count()];
+            let mut expanded = std::collections::BTreeSet::new();
+            cases.walk(decide, |visit| match visit {
+                Visit::State { route, step, .. } => {
+                    let at = dense_index(cfg.dims, step.here, step.in_dir, step.in_vc);
+                    let to = (
+                        route.dest.coord.x,
+                        route.dest.coord.y,
+                        route.dest.exit_dir(),
+                    );
+                    assert!(
+                        expanded.insert((at, to.0, to.1, to.2 as u8)),
+                        "{step:?} twice"
+                    );
+                }
+                Visit::Route {
+                    number,
+                    route,
+                    length,
+                } => {
+                    assert!(lengths[number].replace((route, length)).is_none());
+                }
+            });
+            for (route, length) in lengths.into_iter().map(|l| l.expect("every route ends")) {
+                let steps = trace(&cfg, route, decide).expect("DOR routes terminate");
+                assert_eq!(length, Some(steps.len() as u32), "{} {route}", cfg.label());
+            }
+        }
     }
 }

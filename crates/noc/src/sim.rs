@@ -18,7 +18,7 @@
 //! port` for per-port state): input FIFOs are fixed-depth rings in one flit
 //! slab, and the worklists of busy routers and sources are bitsets whose
 //! set bits iterate in ascending order, the deterministic plan order. Each
-//! slot keeps two packed [`PortVc`] words: the route of the packet at the
+//! slot keeps two packed `PortVc` words: the route of the packet at the
 //! head of its input FIFO, and the owner of its output VC.
 
 use crate::arbiter::{RoundRobin, Wavefront};

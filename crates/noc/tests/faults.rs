@@ -8,9 +8,9 @@
 #![cfg(not(miri))]
 
 use proptest::prelude::*;
-use ruche_noc::fault::try_walk_table_route;
 use ruche_noc::packet::Flit;
 use ruche_noc::prelude::*;
+use ruche_noc::routing::{trace, RouteId};
 
 /// Drives `net` until idle, panicking if progress stalls (which would mean
 /// a routing livelock or deadlock).
@@ -169,15 +169,16 @@ proptest! {
         let limit = cfg.max_route_hops();
         for s in dims.iter() {
             for d in dims.iter() {
-                match try_walk_table_route(&table, s, Dir::P, Dest::tile(d)) {
+                let route = RouteId { src: s, entry: Dir::P, dest: Dest::tile(d) };
+                match trace(&cfg, route, |here, in_dir, _, dest| table.route(here, in_dir, dest)) {
                     Ok(path) => {
                         prop_assert!(path.len() <= limit, "{s}->{d}: {} hops", path.len());
-                        let (last, out) = path[path.len() - 1];
-                        prop_assert_eq!(last, d);
-                        prop_assert_eq!(out, Dir::P);
+                        let last = path[path.len() - 1];
+                        prop_assert_eq!(last.here, d);
+                        prop_assert_eq!(last.out, Dir::P);
                     }
-                    Err(RouteError::Unreachable { .. }) => {}
-                    Err(e) => prop_assert!(false, "{s}->{d}: {e}"),
+                    Err((RouteError::Unreachable { .. }, _)) => {}
+                    Err((e, _)) => prop_assert!(false, "{s}->{d}: {e}"),
                 }
             }
         }

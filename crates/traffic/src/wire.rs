@@ -129,8 +129,8 @@ impl Testbench {
 /// One sweep point — a network configuration plus a testbench — in its
 /// canonical, versioned wire identity.
 ///
-/// Two requests are the same job exactly when their [`cache_key`]
-/// (SweepRequest::cache_key) strings are equal.
+/// Two requests are the same job exactly when their
+/// [`cache_key`](Self::cache_key) strings are equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
     /// The network under test.

@@ -9,22 +9,14 @@
 //! formulation would risk stack overflow) and reported as concrete
 //! witnesses: the channels on the cycle plus one inducing route per edge.
 
-use crate::report::{CdgStats, Channel, RouteId};
-use crate::TraceStep;
+use crate::report::{CdgStats, Channel};
 use ruche_noc::prelude::*;
+use ruche_noc::routing::{dense_index, RouteId};
 use std::collections::VecDeque;
 
 /// Router ports per node in the dense layout: every [`Dir`], whether or
 /// not the topology has it.
 const PORTS: usize = Dir::ALL.len();
-
-/// Dense index of `(at, port, vc)`. VC-major, unlike the simulator's
-/// `(node * ports + port) * max_vcs + vc` slots: a VC index beyond the
-/// configuration's count (which an injected routing function may request)
-/// only appends to a table indexed this way, instead of re-laying it out.
-pub(crate) fn dense(dims: Dims, at: Coord, port: Dir, vc: u8) -> usize {
-    (usize::from(vc) * dims.count() + dims.index(at)) * PORTS + port as usize
-}
 
 /// One dependency edge: the channel requested, and the first route (by
 /// enumeration index) that requests it while holding the edge's source.
@@ -39,8 +31,8 @@ struct Dep {
 /// that holds it while requesting the next.
 pub(crate) type Cycle = (Vec<Channel>, Vec<RouteId>);
 
-/// Channel-dependency graph under construction, over the dense channel
-/// indices of [`dense`].
+/// Channel-dependency graph under construction, over the channels'
+/// [`dense_index`], the layout the route walk indexes its states by.
 #[derive(Debug)]
 pub(crate) struct Cdg {
     dims: Dims,
@@ -65,7 +57,7 @@ impl Cdg {
 
     /// Marks the channel `at -out-> vc` as driven and returns its index.
     pub(crate) fn channel(&mut self, at: Coord, out: Dir, vc: u8) -> u32 {
-        let id = dense(self.dims, at, out, vc);
+        let id = dense_index(self.dims, at, out, vc);
         if id >= self.used.len() {
             let len = (usize::from(vc) + 1) * self.dims.count() * PORTS;
             self.used.resize(len, false);
@@ -97,31 +89,6 @@ impl Cdg {
                 });
                 self.edges += 1;
             }
-        }
-    }
-
-    /// Replays one traced route, number `index`, into the graph. Steps
-    /// whose output has no link behind it (ejection at P, exits into edge
-    /// endpoints) do not form channels: a packet never holds them while
-    /// waiting.
-    pub(crate) fn add_trace(
-        &mut self,
-        cfg: &NetworkConfig,
-        index: usize,
-        route: RouteId,
-        steps: &[TraceStep],
-    ) {
-        let mut held: Option<u32> = None;
-        for step in steps {
-            if cfg.neighbor(step.here, step.out).is_none() {
-                held = None;
-                continue;
-            }
-            let id = self.channel(step.here, step.out, step.out_vc);
-            if let Some(h) = held {
-                self.depend(h, id, index, route);
-            }
-            held = Some(id);
         }
     }
 

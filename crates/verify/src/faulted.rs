@@ -19,13 +19,11 @@
 //!   design), and the VC lints (fault injection is wormhole-only, VC 0).
 
 use crate::cdg::Cdg;
-use crate::report::{CdgStats, Lint, Report, RouteId, Severity, Witness};
-use crate::{lints, TraceStep};
+use crate::lints::{self, route_witness};
+use crate::report::{CdgStats, Lint, Report, Severity, Witness};
 use ruche_noc::fault::{FaultModel, RouteTable};
 use ruche_noc::prelude::*;
-// lint:allow(hash-order): verdict cache keyed by config label, lookup-only.
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use ruche_noc::routing::{trace, Cases, Visit};
 
 /// Statically verifies `cfg` with `faults` injected: route totality over
 /// the surviving channels plus deadlock freedom of the faulted
@@ -54,44 +52,75 @@ pub fn verify_faulted(cfg: &NetworkConfig, faults: &FaultModel) -> Report {
         }
     };
 
-    let cases = lints::route_cases(cfg);
+    let cases = Cases::new(cfg);
+    // Fault routing is single-VC: the table ignores the input VC.
+    let decide = |here, in_dir, _, dest| table.route(here, in_dir, dest);
     let mut cdg = Cdg::new(cfg.dims);
+    let mut held = None;
+    let mut failed = Vec::new();
+    cases.walk(
+        decide,
+        #[inline(always)]
+        |visit| match visit {
+            Visit::State {
+                number,
+                route,
+                step,
+                next,
+            } => {
+                // A table route must never board a dead channel; this firing
+                // means the table construction itself is broken.
+                if faults.channel_dead(cfg, step.here, step.out) {
+                    sink.push(Lint::RouteTotality, Severity::Error, || {
+                        let message =
+                            format!("route crosses dead channel {} -{}->", step.here, step.out);
+                        let steps = match trace(cfg, route, decide) {
+                            Ok(steps) | Err((_, steps)) => steps,
+                        };
+                        (message, Some(route_witness(route, &steps)))
+                    });
+                }
+                if next.is_some() {
+                    let channel = cdg.channel(step.here, step.out, step.out_vc);
+                    if let Some(held) = held {
+                        cdg.depend(held, channel, number, route);
+                    }
+                    held = Some(channel);
+                }
+            }
+            Visit::Route {
+                number,
+                route,
+                length,
+            } => {
+                held = None;
+                if length.is_none() {
+                    failed.push((number, route));
+                }
+            }
+        },
+    );
+
+    // The walk goes destination by destination; the failures are
+    // reported in route-number order, since only the first few findings
+    // of a lint keep their message.
+    failed.sort_unstable_by_key(|&(number, _)| number);
     let mut unreachable = 0usize;
-    for (number, &route) in cases.iter().enumerate() {
-        let steps = match trace_table(cfg, &table, route) {
-            Ok(steps) => steps,
-            Err((RouteError::Unreachable { .. }, _)) => {
-                unreachable += 1;
-                sink.push(Lint::Unreachable, Severity::Info, || {
-                    (format!("faults partition {route}"), None)
-                });
-                continue;
-            }
-            Err((err, partial)) => {
-                sink.push(Lint::RouteTotality, Severity::Error, || {
-                    (
-                        format!("{err}"),
-                        Some(lints::route_witness(route, &partial)),
-                    )
-                });
-                continue;
-            }
-        };
-        for step in &steps {
-            // A table route must never board a dead channel; this firing
-            // means the table construction itself is broken.
-            if faults.channel_dead(cfg, step.here, step.out) {
-                sink.push(Lint::RouteTotality, Severity::Error, || {
-                    let message =
-                        format!("route crosses dead channel {} -{}->", step.here, step.out);
-                    (message, Some(lints::route_witness(route, &steps)))
-                });
-            }
+    for (_, route) in failed {
+        let (err, partial) = trace(cfg, route, decide).expect_err("the walk found it fails");
+        if let RouteError::Unreachable { .. } = err {
+            unreachable += 1;
+            sink.push(Lint::Unreachable, Severity::Info, || {
+                (format!("faults partition {route}"), None)
+            });
+        } else {
+            sink.push(Lint::RouteTotality, Severity::Error, || {
+                (format!("{err}"), Some(route_witness(route, &partial)))
+            });
         }
-        cdg.add_trace(cfg, number, route, &steps);
     }
 
-    let (stats, cycles) = cdg.finish(cases.len());
+    let (stats, cycles) = cdg.finish(cases.count());
     for (channels, routes) in cycles {
         sink.push(Lint::ChannelDeadlock, Severity::Error, || {
             let message = format!(
@@ -127,65 +156,9 @@ pub fn verify_faulted(cfg: &NetworkConfig, faults: &FaultModel) -> Report {
 ///
 /// The rendered [`Report`] when verification produces any error finding.
 pub fn verify_faulted_cached(cfg: &NetworkConfig, faults: &FaultModel) -> Result<(), String> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Result<(), String>>>> = OnceLock::new();
-    let key = format!("{cfg:?}|{faults:?}");
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().expect("faulted verify cache lock").get(&key) {
-        return hit.clone();
-    }
-    let report = verify_faulted(cfg, faults);
-    let result = if report.has_errors() {
-        Err(report.render())
-    } else {
-        Ok(())
-    };
-    cache
-        .lock()
-        .expect("faulted verify cache lock")
-        .insert(key, result.clone());
-    result
-}
-
-/// Walks one route through the fault table, recording full per-hop state
-/// (the faulted analogue of the lint battery's `trace`). All fault
-/// routing is single-VC.
-fn trace_table(
-    cfg: &NetworkConfig,
-    table: &RouteTable,
-    route: RouteId,
-) -> Result<Vec<TraceStep>, (RouteError, Vec<TraceStep>)> {
-    let mut here = route.src;
-    let mut in_dir = route.entry;
-    let mut steps = Vec::new();
-    let limit = cfg.max_route_hops();
-    loop {
-        let dec = match table.route(here, in_dir, route.dest) {
-            Ok(dec) => dec,
-            Err(e) => return Err((e, steps)),
-        };
-        steps.push(TraceStep {
-            here,
-            in_dir,
-            in_vc: 0,
-            out: dec.out,
-            out_vc: dec.out_vc,
-        });
-        if here == route.dest.coord && dec.out == route.dest.exit_dir() {
-            return Ok(steps);
-        }
-        let Some(next) = cfg.neighbor(here, dec.out) else {
-            let err = RouteError::LeftArray {
-                at: here,
-                out: dec.out,
-            };
-            return Err((err, steps));
-        };
-        in_dir = dec.out.opposite();
-        here = next;
-        if steps.len() > limit {
-            return Err((RouteError::HopLimit { limit }, steps));
-        }
-    }
+    crate::cached_verdict(format!("{cfg:?}|{faults:?}"), || {
+        verify_faulted(cfg, faults)
+    })
 }
 
 #[cfg(test)]

@@ -53,33 +53,24 @@ mod lints;
 mod report;
 
 pub use faulted::{verify_faulted, verify_faulted_cached};
-pub use report::{CdgStats, Channel, Finding, Lint, Report, RouteId, Severity, Witness};
+pub use report::{CdgStats, Channel, Finding, Lint, Report, Severity, Witness};
+pub use ruche_noc::routing::RouteId;
 
 use ruche_noc::prelude::*;
-// lint:allow(hash-order): verdict cache keyed by the config's `Debug` rendering, lookup-only.
+// lint:allow(hash-order): verdict cache keyed by the `Debug` rendering of the
+// config (and fault model), lookup-only.
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// A per-hop routing function, same signature as
-/// [`compute_route`](ruche_noc::routing::compute_route). [`verify_with`]
-/// accepts any such function, which is how the test suite proves the
-/// checker catches deliberately broken routing (e.g. a torus with the
-/// dateline VC switch disabled).
+/// A per-hop routing function, same signature as [`compute_route`].
+/// [`verify_with`] accepts any such function, which is how the test suite
+/// proves the checker catches deliberately broken routing (e.g. a torus
+/// with the dateline VC switch disabled).
 ///
 /// It must be a pure function of `(cfg, here, in_dir, in_vc, dest)`: the
 /// verifier decides each routing state once per destination and reuses
 /// that decision for every route that reaches the state.
 pub type RouteFn = dyn Fn(&NetworkConfig, Coord, Dir, u8, Dest) -> RouteDecision;
-
-/// Full per-hop routing state recorded while walking a route.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceStep {
-    pub(crate) here: Coord,
-    pub(crate) in_dir: Dir,
-    pub(crate) in_vc: u8,
-    pub(crate) out: Dir,
-    pub(crate) out_vc: u8,
-}
 
 /// Statically verifies `cfg` under its real routing function.
 pub fn verify(cfg: &NetworkConfig) -> Report {
@@ -107,13 +98,19 @@ pub fn verify_with(cfg: &NetworkConfig, route_fn: &RouteFn) -> Report {
 ///
 /// The rendered [`Report`] of a configuration with error findings.
 pub fn verify_cached(cfg: &NetworkConfig) -> Result<(), String> {
+    cached_verdict(format!("{cfg:?}"), || verify(cfg))
+}
+
+/// The verdict memo behind [`verify_cached`] and
+/// [`verify_faulted_cached`]: the verdict stored under `key`, or the one
+/// `verify`'s report gives, stored there.
+fn cached_verdict(key: String, verify: impl FnOnce() -> Report) -> Result<(), String> {
     static CACHE: OnceLock<Mutex<HashMap<String, Result<(), String>>>> = OnceLock::new();
-    let key = format!("{cfg:?}");
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(hit) = cache.lock().expect("verify cache lock").get(&key) {
         return hit.clone();
     }
-    let report = verify(cfg);
+    let report = verify();
     let result = if report.has_errors() {
         Err(report.render())
     } else {

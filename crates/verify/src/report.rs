@@ -6,7 +6,7 @@
 //! failure is never just an assertion, it is a reproducible counterexample.
 
 use ruche_noc::prelude::*;
-use ruche_noc::routing::PathStep;
+use ruche_noc::routing::{PathStep, RouteId};
 use std::fmt;
 
 /// How serious a finding is.
@@ -111,30 +111,6 @@ pub struct Channel {
 impl fmt::Display for Channel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} -{}-> vc{}", self.from, self.out, self.vc)
-    }
-}
-
-/// Identifies one enumerated route: where the packet entered the network,
-/// through which port, and where it was heading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RouteId {
-    /// First router the packet traverses.
-    pub src: Coord,
-    /// Input port at `src` (`P` for tile injection, `N`/`S` for packets
-    /// arriving from an edge memory endpoint).
-    pub entry: Dir,
-    /// Packet destination.
-    pub dest: Dest,
-}
-
-impl fmt::Display for RouteId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.entry {
-            Dir::P => write!(f, "{} -> {}", self.src, self.dest),
-            Dir::N => write!(f, "N-edge[{}] -> {}", self.src.x, self.dest),
-            Dir::S => write!(f, "S-edge[{}] -> {}", self.src.x, self.dest),
-            other => write!(f, "{}(in {}) -> {}", self.src, other, self.dest),
-        }
     }
 }
 
