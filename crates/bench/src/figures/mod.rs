@@ -1,8 +1,10 @@
 //! One module per reproduced table/figure. Each exposes
 //! `run(opts: Opts)`, printing the reproduction and writing artifacts
-//! under `results/`.
+//! under `results/`; Figures 6 and 9 share the load–latency routine in
+//! `curves`.
 
 pub mod ablations;
+mod curves;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

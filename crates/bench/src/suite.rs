@@ -4,13 +4,12 @@
 
 use crate::opts::Opts;
 use crate::out::results_dir;
-use crate::store::write_atomic;
+use crate::store::{read_lines, write_merged};
 use ruche_manycore::prelude::*;
 use ruche_noc::prelude::*;
 // lint:allow(hash-order): the suite cache is keyed by config label and only
 // ever looked up; artifact emission collects the keys and sorts them first.
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// The network configurations of the Half-Ruche evaluation (§4.6),
 /// paper order: mesh, ruche2-depop, ruche2-pop, ruche3-depop, ruche3-pop,
@@ -126,7 +125,8 @@ impl Entry {
         )
     }
 
-    fn from_tsv(fields: &[&str]) -> Option<Entry> {
+    fn from_tsv(value: &str) -> Option<Entry> {
+        let fields: Vec<&str> = value.split('\t').collect();
         if fields.len() != 13 {
             return None;
         }
@@ -174,24 +174,18 @@ impl Suite {
         results_dir().join("cache.tsv")
     }
 
+    /// A `cache.tsv` line worth keeping: a current-version key and 13
+    /// parseable fields.
+    fn is_current(key: &str, value: &str) -> bool {
+        key.starts_with(CACHE_VERSION) && Entry::from_tsv(value).is_some()
+    }
+
     /// Loads the persisted cache (empty if none).
     pub fn load() -> Self {
-        let mut entries = HashMap::new();
-        if let Ok(body) = std::fs::read_to_string(Self::cache_path()) {
-            for line in body.lines() {
-                let mut parts = line.splitn(2, '\t');
-                let (Some(key), Some(rest)) = (parts.next(), parts.next()) else {
-                    continue;
-                };
-                if !key.starts_with(CACHE_VERSION) {
-                    continue;
-                }
-                let fields: Vec<&str> = rest.split('\t').collect();
-                if let Some(e) = Entry::from_tsv(&fields) {
-                    entries.insert(key.to_string(), e);
-                }
-            }
-        }
+        let entries = read_lines(&Self::cache_path(), Self::is_current)
+            .into_iter()
+            .filter_map(|(k, v)| Some((k, Entry::from_tsv(&v)?)))
+            .collect();
         Suite {
             entries,
             workload_cache: HashMap::new(),
@@ -206,15 +200,12 @@ impl Suite {
         if !self.persist {
             return;
         }
-        let mut merged = Suite::load().entries;
-        merged.extend(self.entries.iter().map(|(k, v)| (k.clone(), *v)));
-        let mut body = String::new();
-        let mut keys: Vec<&String> = merged.keys().collect();
-        keys.sort();
-        for k in keys {
-            let _ = writeln!(body, "{k}\t{}", merged[k].to_tsv());
-        }
-        let _ = write_atomic(&Self::cache_path(), &body);
+        let mut lines = self
+            .entries
+            .iter()
+            .map(|(k, e)| (k.clone(), e.to_tsv()))
+            .collect();
+        let _ = write_merged(&Self::cache_path(), &mut lines, Self::is_current);
     }
 
     /// Number of cached runs.
@@ -307,12 +298,26 @@ mod tests {
             router_pj: 3.5,
             wire_pj: 4.5,
         };
-        let s = e.to_tsv();
-        let fields: Vec<&str> = s.split('\t').collect();
-        assert_eq!(Entry::from_tsv(&fields), Some(e));
+        assert_eq!(Entry::from_tsv(&e.to_tsv()), Some(e));
         assert_eq!(e.total_pj(), 12.0);
         assert_eq!(e.noc_pj(), 8.0);
         assert_eq!(e.compute_pj(), 4.0);
+    }
+
+    #[test]
+    fn cache_lines_need_the_current_version_and_thirteen_fields() {
+        let fields = "1\t2\t3\t4\t5\t6.5\t7\t8\t9\t10\t11\t12\t13";
+        let key = Suite::key(Dims::new(8, 4), "mesh", "jacobi");
+        assert!(Suite::is_current(&key, fields));
+        assert!(
+            !Suite::is_current("v0|8x4|mesh|jacobi", fields),
+            "old version"
+        );
+        assert!(!Suite::is_current(&key, "1\t2\t3"), "too few fields");
+        assert!(
+            !Suite::is_current(&key, &fields.replace('7', "x")),
+            "bad number"
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Crash-safety and compaction contracts of the concurrent result store,
-//! plus its integration with the sweep runner.
+//! Crash-safety and flush contracts of the result store, plus its
+//! integration with the sweep runner.
 
-use ruche_bench::store::{ResultStore, SHARDS};
+use ruche_bench::store::ResultStore;
 use ruche_bench::sweep::{SweepJob, MODEL_VERSION};
 use ruche_bench::SweepRunner;
 use ruche_noc::prelude::*;
 use ruche_traffic::{Pattern, SweepRequest, TbResult, Testbench};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A fresh scratch directory per test case (no tempfile dependency).
 fn scratch(case: &str) -> PathBuf {
@@ -14,6 +14,23 @@ fn scratch(case: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
+}
+
+/// The keys of a store file's lines, in file order.
+fn file_keys(path: &Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .expect("store file")
+        .lines()
+        .map(|l| l.split_once('\t').expect("a key\tvalue line").0.to_string())
+        .collect()
+}
+
+/// Asserts `keys` are strictly ascending: sorted and free of duplicates.
+fn assert_sorted_unique(keys: &[String]) {
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "keys sorted and deduplicated"
+    );
 }
 
 fn sample(seed: u64) -> TbResult {
@@ -55,26 +72,16 @@ fn a_simulated_mid_write_crash_loses_at_most_the_torn_tail() {
     }
     store.flush();
 
-    // Simulate a crashed *non-atomic* writer: a shard file with a torn
+    // Simulate a crashed *non-atomic* writer: the store file with a torn
     // final line, and a leftover temporary from an interrupted flush.
-    let mut torn_shard = None;
-    for i in 0..SHARDS {
-        let p = dir.join(format!("shard-{i}.tsv"));
-        if let Ok(body) = std::fs::read_to_string(&p) {
-            if !body.is_empty() {
-                let torn = format!("{body}v1|torn-key\t{{\"result_version\":1,\"off");
-                std::fs::write(&p, torn).unwrap();
-                torn_shard = Some(i);
-                break;
-            }
-        }
-    }
-    let torn_shard = torn_shard.expect("at least one shard has entries");
+    let file = dir.join("store.tsv");
+    let body = std::fs::read_to_string(&file).expect("flushed store");
     std::fs::write(
-        dir.join(format!("shard-{torn_shard}.tmp.99999")),
-        "half a flush",
+        &file,
+        format!("{body}v1|torn-key\t{{\"result_version\":1,\"off"),
     )
     .unwrap();
+    std::fs::write(dir.join("store.tmp.99999"), "half a flush").unwrap();
 
     // Every complete entry survives; the torn tail reads as absent.
     let recovered = ResultStore::open(&dir);
@@ -84,34 +91,39 @@ fn a_simulated_mid_write_crash_loses_at_most_the_torn_tail() {
     }
     assert!(recovered.get_raw("v1|torn-key").is_none());
 
-    // Compaction heals the file and sweeps the leftover temporary.
-    assert_eq!(recovered.compact(), 16);
-    assert!(!dir.join(format!("shard-{torn_shard}.tmp.99999")).exists());
+    // The next flush rewrites the whole file: whole, sorted, complete.
+    recovered.put("v1|crash-16", &sample(16));
+    recovered.flush();
+    let keys = file_keys(&file);
+    assert_eq!(keys.len(), 17);
+    assert_sorted_unique(&keys);
     let healed = ResultStore::open(&dir);
-    assert_eq!(healed.len(), 16);
+    assert_eq!(healed.len(), 17);
+    for i in 0..17 {
+        assert_eq!(healed.get(&format!("v1|crash-{i}")).unwrap(), sample(i));
+    }
 }
 
 #[test]
-fn compaction_preserves_every_entry_byte_identically() {
-    let dir = scratch("compact");
+fn flush_preserves_every_entry_byte_identically() {
+    let dir = scratch("flush");
     let store = ResultStore::open(&dir);
     for i in 0..32 {
-        store.put(&format!("v1|compact-{i}"), &sample(i));
+        store.put(&format!("v1|flush-{i}"), &sample(i));
     }
-    // A value from a future schema: must ride through compaction
-    // untouched even though this build cannot decode it.
+    // A value from a future schema: must ride through a flush untouched
+    // even though this build cannot decode it.
     store.put_raw(
         "v1|from-the-future",
         "{\"result_version\":99,\"zeta\":[1,2,3]}".into(),
     );
-    store.flush();
     let before: Vec<(String, String)> = (0..32)
-        .map(|i| format!("v1|compact-{i}"))
+        .map(|i| format!("v1|flush-{i}"))
         .chain(["v1|from-the-future".to_string()])
         .map(|k| (k.clone(), store.get_raw(&k).unwrap()))
         .collect();
 
-    assert_eq!(store.compact(), 33);
+    store.flush();
     let after = ResultStore::open(&dir);
     assert_eq!(after.len(), 33);
     for (k, raw) in &before {
@@ -119,19 +131,10 @@ fn compaction_preserves_every_entry_byte_identically() {
     }
     assert!(after.get("v1|from-the-future").is_none(), "foreign = miss");
 
-    // Compacted shard files are sorted and duplicate-free.
-    for i in 0..SHARDS {
-        if let Ok(body) = std::fs::read_to_string(dir.join(format!("shard-{i}.tsv"))) {
-            let keys: Vec<&str> = body
-                .lines()
-                .map(|l| l.split_once('\t').unwrap().0)
-                .collect();
-            let mut sorted = keys.clone();
-            sorted.sort();
-            sorted.dedup();
-            assert_eq!(keys, sorted, "shard {i} sorted and deduplicated");
-        }
-    }
+    // The flushed file is sorted and duplicate-free.
+    let keys = file_keys(&dir.join("store.tsv"));
+    assert_eq!(keys.len(), 33);
+    assert_sorted_unique(&keys);
 }
 
 #[test]
@@ -185,22 +188,14 @@ fn the_committed_store_holds_only_reachable_keys() {
         "{MODEL_VERSION}|{{\"key_version\":{},",
         SweepRequest::KEY_VERSION
     );
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/sweep_store");
-    let mut entries = 0;
-    for i in 0..SHARDS {
-        let path = dir.join(format!("shard-{i}.tsv"));
-        let body = std::fs::read_to_string(&path).expect("committed shard");
-        for line in body.lines() {
-            let key = line.split('\t').next().unwrap_or_default();
-            assert!(
-                key.starts_with(&prefix),
-                "{}: unreachable key {key:.80}",
-                path.display()
-            );
-            entries += 1;
-        }
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/sweep_store/store.tsv");
+    let keys = file_keys(&path);
+    for key in &keys {
+        assert!(key.starts_with(&prefix), "unreachable key {key:.80}");
     }
-    assert!(entries > 0, "the committed store is empty");
+    assert_sorted_unique(&keys);
+    assert!(!keys.is_empty(), "the committed store is empty");
 }
 
 #[test]

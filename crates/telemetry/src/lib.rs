@@ -24,5 +24,5 @@ pub mod series;
 
 pub use histogram::Histogram;
 pub use json::{Json, JsonError};
-pub use probe::{JsonProbe, NullProbe, Prefixed, Probe};
+pub use probe::{JsonProbe, Prefixed, Probe};
 pub use series::TimeSeries;

@@ -27,18 +27,6 @@ pub trait Probe {
     fn series(&mut self, name: &str, s: &TimeSeries);
 }
 
-/// A probe that discards everything (useful as a placeholder and in tests
-/// measuring export overhead).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullProbe;
-
-impl Probe for NullProbe {
-    fn scalar(&mut self, _name: &str, _value: u64) {}
-    fn scalars(&mut self, _name: &str, _values: &[u64]) {}
-    fn histogram(&mut self, _name: &str, _h: &Histogram) {}
-    fn series(&mut self, _name: &str, _s: &TimeSeries) {}
-}
-
 /// Forwards everything to an inner probe with a fixed name prefix.
 ///
 /// Lets a component that owns several instrumented sub-components nest
@@ -224,15 +212,6 @@ mod tests {
             p.into_json()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn null_probe_accepts_everything() {
-        let mut p = NullProbe;
-        p.scalar("x", 1);
-        p.scalars("xs", &[1, 2]);
-        p.histogram("h", &Histogram::zero_to(1));
-        p.series("s", &TimeSeries::new(1));
     }
 
     #[test]

@@ -13,18 +13,13 @@ fn agree(s: &str) {
 
 /// The values of every line of the committed sweep store.
 fn store_values() -> Vec<String> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/sweep_store");
-    let mut values = Vec::new();
-    for i in 0..8 {
-        let body = std::fs::read_to_string(dir.join(format!("shard-{i}.tsv")))
-            .expect("the committed store has eight shards");
-        values.extend(
-            body.lines()
-                .filter_map(|l| l.split_once('\t'))
-                .map(|(_, v)| v.to_string()),
-        );
-    }
-    values
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/sweep_store/store.tsv");
+    std::fs::read_to_string(path)
+        .expect("the committed store")
+        .lines()
+        .filter_map(|l| l.split_once('\t'))
+        .map(|(_, v)| v.to_string())
+        .collect()
 }
 
 /// SplitMix64: a seeded, dependency-free generator for the mutations.
